@@ -28,7 +28,7 @@ let known_counters =
     "cache.resident_bytes"; "snapshot.bytes"; "pool.queue_depth";
     "pool.queue_wait_s";
     "budget.spent_s"; "link.dropped"; "link.corrupted"; "link.duplicated";
-    "lanes.active"; "lanes.forks"; "lanes.retired";
+    "store.hits"; "store.misses"; "store.bytes";
     "cell.retries"; "cell.quarantined"; "cell.deadline_hits";
   ]
 

@@ -153,7 +153,7 @@ let strategy_of_name name =
   | Some strategy -> strategy
   | None -> invalid_arg ("unknown approach " ^ name)
 
-let hunt policy workload seed approaches budget jobs lanes verbose artefacts trace
+let hunt policy workload seed approaches budget jobs verbose artefacts trace
     journal_path =
   (* Tracing spans every campaign, simulation, cache serve and search
      decision; the file is Chrome trace format (open in Perfetto). *)
@@ -204,7 +204,7 @@ let hunt policy workload seed approaches budget jobs lanes verbose artefacts tra
       | Some (Some record) -> `Memo record
       | Some None | None -> (
         match
-          Campaign.run_supervised ?lanes ?journal ~journal_approach:name config
+          Campaign.run_supervised ?journal ~journal_approach:name config
             ~strategy:(strategy_of_name name)
         with
         | Campaign.Completed r -> `Live r
@@ -388,15 +388,6 @@ let hunt_cmd =
                    \\$AVIS_JOBS, then to the hardware's recommendation. \
                    Results do not depend on N.")
   in
-  let lanes =
-    Arg.(value & opt (some int) None
-         & info [ "lanes" ] ~docv:"N"
-             ~doc:"Scenarios to keep in flight per campaign, stepped \
-                   through a structure-of-arrays lane batch. Defaults to \
-                   \\$AVIS_LANES, then 1 (unbatched). With random search \
-                   the findings and budget ledger are bit-identical to \
-                   --lanes 1.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding.")
   in
@@ -425,7 +416,7 @@ let hunt_cmd =
   in
   Cmd.v
     (Cmd.info "hunt" ~doc:"Run model-checking campaigns against the firmware.")
-    Term.(const hunt $ firmware_arg $ workload_arg $ seed_arg $ approach $ budget $ jobs $ lanes $ verbose $ artefacts $ trace $ journal)
+    Term.(const hunt $ firmware_arg $ workload_arg $ seed_arg $ approach $ budget $ jobs $ verbose $ artefacts $ trace $ journal)
 
 (* huntd / submit / watch *)
 
@@ -472,7 +463,7 @@ let print_daemon_record ~verbose name (record : Run_journal.record) =
           f.Run_journal.description)
       record.Run_journal.findings
 
-let submit policy workload seed approaches budget shards lanes verbose socket =
+let submit policy workload seed approaches budget shards verbose socket =
   let approaches =
     String.split_on_char ',' approaches
     |> List.map String.trim
@@ -488,7 +479,6 @@ let submit policy workload seed approaches budget shards lanes verbose socket =
             approaches;
             budget_s = budget;
             seed;
-            lanes;
             shards;
           })
     ^ "\n");
@@ -575,12 +565,6 @@ let submit_cmd =
                    pull-based dispatcher sizes workers from pending work \
                    and ignores it.")
   in
-  let lanes =
-    Arg.(value & opt (some int) None
-         & info [ "lanes" ] ~docv:"N"
-             ~doc:"Scenarios in flight per campaign inside the worker; \
-                   defaults to the worker's \\$AVIS_LANES.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding.")
   in
@@ -589,7 +573,7 @@ let submit_cmd =
        ~doc:"Submit a hunt to a running daemon and stream its progress. \
              Results are byte-identical to `hunt` of the same request.")
     Term.(const submit $ firmware_arg $ workload_arg $ seed_arg $ approach
-          $ budget $ shards $ lanes $ verbose $ socket_arg)
+          $ budget $ shards $ verbose $ socket_arg)
 
 let watch socket =
   let ic, oc = connect_daemon socket in

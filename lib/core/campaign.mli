@@ -95,7 +95,7 @@ val make_cache : ?store_dir:string -> config -> Prefix_cache.t
 
 val run :
   ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) ->
-  ?cache:Prefix_cache.t -> ?lanes:int -> ?deadline_s:float ->
+  ?cache:Prefix_cache.t -> ?deadline_s:float ->
   ?journal:Run_journal.t -> ?journal_approach:string -> config ->
   strategy:(Search.context -> Search.t) -> result
 (** Run a full campaign. [stop_when] ends the campaign early when a
@@ -107,18 +107,6 @@ val run :
     {!make_cache} for the sharing rules. The campaign never spends past
     [budget_s]: affordability is checked against the simulator's duration
     cap before each run, and the ledger saturates at the budget.
-
-    [lanes] (default the [AVIS_LANES] environment variable, else 1)
-    selects the driver: 1 keeps the classic one-scenario-at-a-time loop;
-    [n >= 2] schedules up to [n] scenarios in flight at once, each
-    physics-stepped through a lane of a shared structure-of-arrays batch
-    ({!Avis_sitl.Sim.Batch}) and advanced in interleaved slices. Budget
-    charges, affordability gates, observations and findings are applied
-    in strict schedule order, so a batched campaign's findings and budget
-    ledger are bit-identical to the unbatched driver whenever the
-    strategy's proposals don't depend on its observations (random
-    search); adaptive strategies see observations up to [n] proposals
-    late and may schedule differently (still valid searches).
 
     [deadline_s] is a cooperative wall-clock watchdog: checked at every
     scheduling boundary (never mid-simulation), raising {!Cell_deadline}
@@ -189,7 +177,8 @@ val run_supervised :
   strategy:(Search.context -> Search.t) -> result supervised
 (** {!run} under {!with_retries} and a wall-clock deadline. Retried
     attempts restart the campaign from scratch, so a [Completed] result
-    is always one uninterrupted campaign's. *)
+    is always one uninterrupted campaign's. [lanes] is ignored, kept so
+    existing callers compile. *)
 
 val watchdog_counters : unit -> int * int * int
 (** Process-lifetime [(retries, quarantined, deadline_hits)] totals —
@@ -229,8 +218,7 @@ val record_of_result :
     model's training signal); omitted, the record carries no duration. *)
 
 val lanes_of_env : unit -> int
-(** The [AVIS_LANES] width: 1 (unbatched) when unset; invalid values are
-    warned about and treated as 1. *)
+(** Always 1, without reading the environment; kept so existing callers compile. *)
 
 val cell_seed :
   ?base:int -> policy:string -> workload:string -> approach:string -> unit -> int

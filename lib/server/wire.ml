@@ -7,7 +7,6 @@ type hunt_request = {
   approaches : string list;
   budget_s : float;
   seed : int;
-  lanes : int option;
   shards : int;
 }
 
@@ -48,7 +47,6 @@ type assignment = {
   a_approach : string;
   a_budget_s : float;
   a_seed : int;
-  a_lanes : int option;
 }
 
 type directive =
@@ -65,26 +63,20 @@ let is_metrics_line line =
 let request_to_json = function
   | Submit r ->
     Json.Assoc
-      (List.concat
-         [
-           [
-             ("op", Json.String "submit");
-             ("firmware", Json.String r.firmware);
-             ("workload", Json.String r.workload);
-             ( "approaches",
-               Json.List (List.map (fun a -> Json.String a) r.approaches) );
-             (* The budget participates in the journal key by its IEEE-754
-                bits, so it must cross the wire losslessly — as bits, not
-                as a decimal rendering. *)
-             ( "budget_bits",
-               Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float r.budget_s)) );
-             ("seed", Json.int r.seed);
-             ("shards", Json.int r.shards);
-           ];
-           (match r.lanes with
-           | Some n -> [ ("lanes", Json.int n) ]
-           | None -> []);
-         ])
+      [
+        ("op", Json.String "submit");
+        ("firmware", Json.String r.firmware);
+        ("workload", Json.String r.workload);
+        ( "approaches",
+          Json.List (List.map (fun a -> Json.String a) r.approaches) );
+        (* The budget participates in the journal key by its IEEE-754
+           bits, so it must cross the wire losslessly — as bits, not as a
+           decimal rendering. *)
+        ( "budget_bits",
+          Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float r.budget_s)) );
+        ("seed", Json.int r.seed);
+        ("shards", Json.int r.shards);
+      ]
   | Watch -> Json.Assoc [ ("op", Json.String "watch") ]
   | Status -> Json.Assoc [ ("op", Json.String "status") ]
   | Ping -> Json.Assoc [ ("op", Json.String "ping") ]
@@ -115,8 +107,7 @@ let hunt_request_of_json j =
   in
   let* seed = num (Json.member "seed" j) in
   let* shards = num (Json.member "shards" j) in
-  let lanes = num (Json.member "lanes" j) in
-  Some { firmware; workload; approaches; budget_s; seed; lanes; shards }
+  Some { firmware; workload; approaches; budget_s; seed; shards }
 
 let request_of_json j =
   match str (Json.member "op" j) with
@@ -260,25 +251,18 @@ let response_of_json j =
 let directive_to_json = function
   | Cell_assign a ->
     Json.Assoc
-      (List.concat
-         [
-           [
-             ("op", Json.String "cell-assign");
-             ("req", Json.String a.a_req);
-             ("firmware", Json.String a.a_firmware);
-             ("workload", Json.String a.a_workload);
-             ("approach", Json.String a.a_approach);
-             (* As with submit: the budget reaches the worker by its
-                IEEE-754 bits so the cell's journal key is bit-exact. *)
-             ( "budget_bits",
-               Json.String
-                 (Printf.sprintf "%016Lx" (Int64.bits_of_float a.a_budget_s)) );
-             ("seed", Json.int a.a_seed);
-           ];
-           (match a.a_lanes with
-           | Some n -> [ ("lanes", Json.int n) ]
-           | None -> []);
-         ])
+      [
+        ("op", Json.String "cell-assign");
+        ("req", Json.String a.a_req);
+        ("firmware", Json.String a.a_firmware);
+        ("workload", Json.String a.a_workload);
+        ("approach", Json.String a.a_approach);
+        (* As with submit: the budget reaches the worker by its IEEE-754
+           bits so the cell's journal key is bit-exact. *)
+        ( "budget_bits",
+          Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float a.a_budget_s)) );
+        ("seed", Json.int a.a_seed);
+      ]
   | Drain -> Json.Assoc [ ("op", Json.String "drain") ]
 
 let directive_of_json j =
@@ -294,10 +278,8 @@ let directive_of_json j =
       Some (Int64.float_of_bits bits)
     in
     let* a_seed = num (Json.member "seed" j) in
-    let a_lanes = num (Json.member "lanes" j) in
     Some
-      (Cell_assign
-         { a_req; a_firmware; a_workload; a_approach; a_budget_s; a_seed; a_lanes })
+      (Cell_assign { a_req; a_firmware; a_workload; a_approach; a_budget_s; a_seed })
   | Some "drain" -> Some Drain
   | Some _ | None -> None
 

@@ -13,7 +13,9 @@
     Campaign results travel as {!Avis_core.Run_journal.record} values in
     their journal JSON encoding, so the bytes a client receives for a cell
     are exactly the bytes the daemon's journal memoises — a served result
-    and a resumed one cannot differ. *)
+    and a resumed one cannot differ. Decoders ignore object fields they do
+    not know, so a frame from an older peer that still carries a
+    since-removed field decodes as if the field were absent. *)
 
 open Avis_core
 
@@ -23,9 +25,6 @@ type hunt_request = {
   approaches : string list;  (** Search strategies, one cell each. *)
   budget_s : float;  (** Modelled wall-clock budget per cell. *)
   seed : int;  (** Base seed; each cell derives its own via FNV-1a. *)
-  lanes : int option;
-      (** Scenarios in flight per campaign; [None] follows the worker's
-          [AVIS_LANES]. *)
   shards : int;
       (** Historical: the static-shard count of the pre-pull daemon.
           Accepted (and round-tripped) for wire compatibility, but the
@@ -84,7 +83,6 @@ type assignment = {
   a_approach : string;
   a_budget_s : float;  (** Crosses as IEEE-754 bits, like [budget_s]. *)
   a_seed : int;  (** The request's base seed (cells re-derive theirs). *)
-  a_lanes : int option;
 }
 
 (** Daemon-to-worker control frames on the assignment pipe. *)

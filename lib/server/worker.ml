@@ -100,7 +100,6 @@ let cell_of_assignment (a : Wire.assignment) =
         approaches = [ a.Wire.a_approach ];
         budget_s = a.Wire.a_budget_s;
         seed = a.Wire.a_seed;
-        lanes = a.Wire.a_lanes;
         shards = 1;
       }
   with
@@ -221,7 +220,7 @@ let execute_cell ~send ~journal ~fingerprint (a : Wire.assignment) =
         end
       in
       match
-        Campaign.run_supervised ?lanes:a.Wire.a_lanes ?journal
+        Campaign.run_supervised ?journal
           ~journal_approach:cell.approach ~progress cell.config
           ~strategy:cell.strategy
       with
