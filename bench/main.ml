@@ -52,101 +52,34 @@ let policies = [ Policy.apm; Policy.px4 ]
 
 let workloads = [ Workload.manual_box; Workload.auto_box ]
 
-(* A matrix cell either ran live in this process or was served from the
-   resumable run journal (AVIS_JOURNAL) written by an earlier, possibly
-   killed, process. Memo records carry exactly the fields the tables
-   need (counts, the spent ledger's bits, finding descriptions/buckets/
-   bug attributions), so every table derives identically from either
-   arm; what they cannot carry is the monitor profile, which no table
-   reads. *)
-type outcome = Live of Campaign.result | Memo of Run_journal.record
+(* A matrix cell's journal record, whether it ran live in this process
+   or was served from the resumable run journal (AVIS_JOURNAL) written by
+   an earlier, possibly killed, process. Records carry exactly the fields
+   the tables need (counts, the spent ledger's bits, finding
+   descriptions/buckets/bug attributions), so every table derives
+   identically from either; what they cannot carry is the monitor
+   profile, which no table reads. *)
+type cell = { policy : Policy.t; approach : string; record : Run_journal.record }
 
-type cell = {
-  policy : Policy.t;
-  workload : Workload.t;
-  approach : string;
-  outcome : outcome;
-  wall_s : float;
-}
-
-let cell_simulations c =
-  match c.outcome with
-  | Live r -> r.Campaign.simulations
-  | Memo m -> m.Run_journal.simulations
-
-let cell_inferences c =
-  match c.outcome with
-  | Live r -> r.Campaign.inferences
-  | Memo m -> m.Run_journal.inferences
-
-let cell_spent_s c =
-  match c.outcome with
-  | Live r -> r.Campaign.wall_clock_spent_s
-  | Memo m -> Run_journal.spent_s m
-
-let cell_unsafe c =
-  match c.outcome with
-  | Live r -> Campaign.unsafe_count r
-  | Memo m -> List.length m.Run_journal.findings
+let cell_unsafe c = List.length c.record.Run_journal.findings
 
 let cell_found_bug c bug =
-  match c.outcome with
-  | Live r -> Campaign.found_bug r bug
-  | Memo m ->
-    let report = (Bug.info bug).Bug.report in
-    List.exists
-      (fun (f : Run_journal.finding) -> List.mem report f.Run_journal.bugs)
-      m.Run_journal.findings
+  let report = (Bug.info bug).Bug.report in
+  List.exists
+    (fun (f : Run_journal.finding) -> List.mem report f.Run_journal.bugs)
+    c.record.Run_journal.findings
 
 let cell_bucket_count c bucket =
-  match c.outcome with
-  | Live r -> List.assoc bucket (Campaign.count_by_bucket r)
-  | Memo m ->
-    let label = Report.bucket_label bucket in
-    List.length
-      (List.filter
-         (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
-         m.Run_journal.findings)
-
-let cell_label ~approach ~policy ~workload =
-  (* No spaces, so metrics lines stay grep-able key=value records. *)
-  String.map
-    (function ' ' -> '_' | c -> c)
-    (Printf.sprintf "%s/%s/%s" approach policy workload)
-
-let snapshot_of_cell c =
-  let store_hits, store_misses, store_bytes =
-    match c.outcome with
-    | Live { Campaign.cache_stats = Some s; _ } ->
-      Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-    | Live { Campaign.cache_stats = None; _ } | Memo _ -> (0, 0, 0)
-  in
-  let minor_words, major_collections =
-    match c.outcome with
-    | Live r -> (r.Campaign.minor_words, r.Campaign.major_collections)
-    | Memo _ -> (0.0, 0)
-  in
-  {
-    Metrics.cell =
-      cell_label ~approach:c.approach ~policy:c.policy.Policy.name
-        ~workload:c.workload.Workload.name;
-    simulations = cell_simulations c;
-    inferences = cell_inferences c;
-    spent_s = cell_spent_s c;
-    budget_s;
-    findings = cell_unsafe c;
-    wall_s = c.wall_s;
-    minor_words;
-    major_collections;
-    store_hits;
-    store_misses;
-    store_bytes;
-  }
+  let label = Report.bucket_label bucket in
+  List.length
+    (List.filter
+       (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
+       c.record.Run_journal.findings)
 
 (* Emit a metrics line whenever the cell crosses another 10% of its
    budget, rather than after every simulation: sixteen interleaved cells
    stay readable. *)
-let decile_progress ~label ~started =
+let decile_progress () =
   let last = ref (-1) in
   fun (p : Campaign.progress) ->
     let decile =
@@ -154,68 +87,27 @@ let decile_progress ~label ~started =
     in
     if decile > !last then begin
       last := decile;
-      Metrics.emit ~event:"progress"
-        {
-          Metrics.cell = label;
-          simulations = p.Campaign.simulations;
-          inferences = p.Campaign.inferences;
-          spent_s = p.Campaign.spent_s;
-          budget_s = p.Campaign.budget_s;
-          findings = p.Campaign.findings;
-          wall_s = Metrics.now_s () -. started;
-          minor_words = p.Campaign.minor_words;
-          major_collections = p.Campaign.major_collections;
-          store_hits = p.Campaign.store_hits;
-          store_misses = p.Campaign.store_misses;
-          store_bytes = p.Campaign.store_bytes;
-        }
+      Metrics.emit ~event:"progress" p
     end
 
-let run_cell journal (policy, workload, (name, strategy)) =
-  let label =
-    cell_label ~approach:name ~policy:policy.Policy.name
-      ~workload:workload.Workload.name
+let run_cell journal (policy, (name, strategy), config) =
+  let run =
+    Campaign.run_cell ?journal ~progress:(decile_progress ()) config
+      ~approach:name ~strategy
   in
-  let started = Metrics.now_s () in
-  let config =
-    {
-      (Campaign.default_config policy workload) with
-      Campaign.budget_s;
-      seed =
-        Campaign.cell_seed ~policy:policy.Policy.name
-          ~workload:workload.Workload.name ~approach:name ();
-    }
-  in
-  let memo =
-    match journal with
-    | Some j -> Campaign.journal_memo j config ~approach:name
-    | None -> None
-  in
-  match memo with
-  | Some record ->
-    let cell =
-      { policy; workload; approach = name; outcome = Memo record;
-        wall_s = Metrics.now_s () -. started }
-    in
-    Metrics.emit ~event:"memo" (snapshot_of_cell cell);
-    Some cell
-  | None -> (
-    match
-      Campaign.run_supervised ~progress:(decile_progress ~label ~started)
-        ?journal ~journal_approach:name config ~strategy
-    with
-    | Campaign.Completed result ->
-      let cell =
-        { policy; workload; approach = name; outcome = Live result;
-          wall_s = Metrics.now_s () -. started }
-      in
-      Metrics.emit ~event:"done" (snapshot_of_cell cell);
-      Some cell
+  Metrics.emit ~event:run.Campaign.event run.Campaign.snapshot;
+  let cell =
+    match run.Campaign.outcome with
+    | Campaign.Live (_, record) | Campaign.Memo record ->
+      Some { policy; approach = name; record }
     | Campaign.Quarantined e ->
       Printf.eprintf
-        "[bench] cell %s QUARANTINED [%s] after %d attempt(s): %s\n%!" label
-        e.Campaign.code e.Campaign.attempts e.Campaign.message;
-      None)
+        "[bench] cell %s QUARANTINED [%s] after %d attempt(s): %s\n%!"
+        run.Campaign.snapshot.Metrics.cell e.Campaign.code e.Campaign.attempts
+        e.Campaign.message;
+      None
+  in
+  (cell, run.Campaign.snapshot)
 
 let campaign_matrix =
   lazy
@@ -224,7 +116,18 @@ let campaign_matrix =
          (fun policy ->
            List.concat_map
              (fun workload ->
-               List.map (fun approach -> (policy, workload, approach)) approaches)
+               List.map
+                 (fun ((name, _) as approach) ->
+                   ( policy,
+                     approach,
+                     {
+                       (Campaign.default_config policy workload) with
+                       Campaign.budget_s;
+                       seed =
+                         Campaign.cell_seed ~policy:policy.Policy.name
+                           ~workload:workload.Workload.name ~approach:name ();
+                     } ))
+                 approaches)
              workloads)
          policies
      in
@@ -252,22 +155,18 @@ let campaign_matrix =
        | Some j -> Cost_model.of_journal j
        | None -> Cost_model.create ()
      in
-     let weight (policy, workload, (name, _)) =
+     let weight (_, (name, _), config) =
        Cost_model.predict cost
-         ~label:
-           (cell_label ~approach:name ~policy:policy.Policy.name
-              ~workload:workload.Workload.name)
+         ~label:(Campaign.label_of config ~approach:name)
          ~budget_s
      in
-     let cells =
-       List.filter_map Fun.id
-         (Pool.map_lpt ~jobs ~weight (run_cell journal) specs)
-     in
+     let runs = Pool.map_lpt ~jobs ~weight (run_cell journal) specs in
+     let cells = List.filter_map fst runs in
      let dropped = List.length specs - List.length cells in
      if dropped > 0 then
        Printf.eprintf
          "[bench] %d quarantined cell(s) excluded from the tables\n%!" dropped;
-     Metrics.summary (List.map snapshot_of_cell cells);
+     Metrics.summary (List.map snd runs);
      cells)
 
 let cells_for ?approach ?policy () =
@@ -1477,10 +1376,14 @@ let sched_bench () =
   in
   (* The historical static schedule: cells round-robined into one shard
      per worker up front, each shard a sequential run. *)
+  let shards =
+    List.init sched_workers (fun k ->
+        List.filteri (fun i _ -> i mod sched_workers = k) arrival)
+  in
   let shard_sums =
     List.map
       (fun shard -> List.fold_left (fun acc (_, d) -> acc +. d) 0.0 shard)
-      (Avis_server.Worker.shard_cells ~shards:sched_workers arrival)
+      shards
   in
   let makespan_static = List.fold_left Float.max 0.0 shard_sums in
   let makespan_pull_arrival, _ =
@@ -1506,14 +1409,12 @@ let sched_bench () =
   let static_results =
     Pool.map ~jobs:sched_workers
       (fun shard -> List.map (fun (spec, _) -> sched_digest spec (sched_run spec)) shard)
-      (Avis_server.Worker.shard_cells ~shards:sched_workers arrival)
+      shards
     |> List.concat
   in
   (* Shards permute the cells; compare by name against the reference. *)
   let static_by_ref =
-    let shard_specs =
-      List.concat (Avis_server.Worker.shard_cells ~shards:sched_workers arrival)
-    in
+    let shard_specs = List.concat shards in
     List.map
       (fun (spec, _, _) ->
         let rec find = function

@@ -144,14 +144,44 @@ let install_interrupt_handler () =
               writing partial results (^C again to abort now)"
          end))
 
-(* Resolving the name eagerly (before any campaign starts) lets a typo in
-   a multi-approach hunt fail before budget is spent on the others. The
-   name table itself lives in {!Avis_server.Worker} so the daemon resolves
-   identically. *)
-let strategy_of_name name =
-  match Avis_server.Worker.strategy_of_name name with
-  | Some strategy -> strategy
-  | None -> invalid_arg ("unknown approach " ^ name)
+(* A cell's record as both `hunt` and `submit` print it, under the
+   strategy's display name. The record carries the counts, spent seconds
+   (by bits) and findings of the run that produced it, so cold,
+   memo-served, daemon-served and resumed-after-a-crash cells all render
+   identical bytes. *)
+let print_daemon_record ~verbose name (record : Run_journal.record) =
+  Printf.printf
+    "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s spent)\n"
+    name
+    (List.length record.Run_journal.findings)
+    record.Run_journal.simulations record.Run_journal.inferences
+    (Run_journal.spent_s record);
+  List.iter
+    (fun bucket ->
+      let label = Report.bucket_label bucket in
+      let n =
+        List.length
+          (List.filter
+             (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
+             record.Run_journal.findings)
+      in
+      Printf.printf "  %-8s %d\n" label n)
+    Report.all_buckets;
+  if verbose then
+    List.iteri
+      (fun i (f : Run_journal.finding) ->
+        Printf.printf "[%02d] sim#%d %s\n" i f.Run_journal.simulation_index
+          f.Run_journal.description)
+      record.Run_journal.findings
+
+let print_quarantined name (e : Campaign.cell_error) =
+  Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
+    e.Campaign.code e.Campaign.attempts e.Campaign.message
+
+let split_approaches approaches =
+  String.split_on_char ',' approaches
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
 
 let hunt policy workload seed approaches budget jobs verbose artefacts trace
     journal_path =
@@ -159,24 +189,27 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
      decision; the file is Chrome trace format (open in Perfetto). *)
   if trace <> None then Avis_util.Trace.set_enabled true;
   install_interrupt_handler ();
-  let journal = Option.map (fun path -> Run_journal.open_ path) journal_path in
-  let approaches =
-    String.split_on_char ',' approaches
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
+  let approaches = split_approaches approaches in
+  (* The daemon's request expansion builds the cells, so a hunt and a
+     submitted request run identical configs. A typo fails here, before
+     any budget is spent, as a usage error. *)
+  let cells =
+    match
+      Avis_server.Worker.cells_of_request
+        {
+          Avis_server.Wire.firmware = policy.Avis_firmware.Policy.name;
+          workload = workload.Workload.name;
+          approaches;
+          budget_s = budget;
+          seed;
+        }
+    with
+    | Ok cells -> cells
+    | Error msg ->
+      Printf.eprintf "avis: %s\n" msg;
+      exit Cmd.Exit.cli_error
   in
-  (* Fail on a typo before spending any budget on the other approaches —
-     and as a usage error, not an "internal error" backtrace. *)
-  (try
-     if approaches = [] then invalid_arg "no approach given";
-     List.iter
-       (fun name ->
-         let (_ : Search.context -> Search.t) = strategy_of_name name in
-         ())
-       approaches
-   with Invalid_argument msg ->
-     Printf.eprintf "avis: %s (avis|strat-bfi|bfi|random|dfs|bfs)\n" msg;
-     exit Cmd.Exit.cli_error);
+  let journal = Option.map (fun path -> Run_journal.open_ path) journal_path in
   let jobs =
     max 1 (match jobs with Some j -> j | None -> Avis_util.Pool.jobs_of_env ())
   in
@@ -184,85 +217,14 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
     "hunting with %s on %s / %s (budget %.0f s wall-clock each, %d domain(s))...\n%!"
     (String.concat ", " approaches)
     policy.Avis_firmware.Policy.name workload.Workload.name budget jobs;
-  let hunt_one name =
-    let label =
-      Printf.sprintf "%s/%s/%s" name policy.Avis_firmware.Policy.name
-        workload.Workload.name
+  let hunt_one (cell : Avis_server.Worker.cell) =
+    let run =
+      Campaign.run_cell ?journal cell.Avis_server.Worker.config
+        ~approach:cell.Avis_server.Worker.approach
+        ~strategy:cell.Avis_server.Worker.strategy
     in
-    let started = Avis_util.Metrics.now_s () in
-    let config =
-      {
-        (Campaign.default_config policy workload) with
-        Campaign.budget_s = budget;
-        seed =
-          Campaign.cell_seed ~base:seed ~policy:policy.Avis_firmware.Policy.name
-            ~workload:workload.Workload.name ~approach:name ();
-      }
-    in
-    let outcome =
-      match Option.map (fun j -> Campaign.journal_memo j config ~approach:name) journal with
-      | Some (Some record) -> `Memo record
-      | Some None | None -> (
-        match
-          Campaign.run_supervised ?journal ~journal_approach:name config
-            ~strategy:(strategy_of_name name)
-        with
-        | Campaign.Completed r -> `Live r
-        | Campaign.Quarantined e -> `Quarantine e)
-    in
-    (match (journal, outcome) with
-    | Some j, (`Live _ | `Quarantine _) when Campaign.interrupted () ->
-      Run_journal.record_interrupted j
-        ~key:(Campaign.journal_key j config ~approach:name)
-        ~label
-    | _ -> ());
-    let wall_s = Avis_util.Metrics.now_s () -. started in
-    let snapshot =
-      let zero =
-        {
-          Avis_util.Metrics.cell = label; simulations = 0; inferences = 0;
-          spent_s = 0.0; budget_s = budget; findings = 0; wall_s;
-          minor_words = 0.0; major_collections = 0; store_hits = 0;
-          store_misses = 0; store_bytes = 0;
-        }
-      in
-      match outcome with
-      | `Live result ->
-        let store_hits, store_misses, store_bytes =
-          match result.Campaign.cache_stats with
-          | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-          | None -> (0, 0, 0)
-        in
-        {
-          zero with
-          Avis_util.Metrics.simulations = result.Campaign.simulations;
-          inferences = result.Campaign.inferences;
-          spent_s = result.Campaign.wall_clock_spent_s;
-          findings = Campaign.unsafe_count result;
-          minor_words = result.Campaign.minor_words;
-          major_collections = result.Campaign.major_collections;
-          store_hits;
-          store_misses;
-          store_bytes;
-        }
-      | `Memo record ->
-        {
-          zero with
-          Avis_util.Metrics.simulations = record.Run_journal.simulations;
-          inferences = record.Run_journal.inferences;
-          spent_s = Run_journal.spent_s record;
-          findings = List.length record.Run_journal.findings;
-        }
-      | `Quarantine _ -> zero
-    in
-    let event =
-      match outcome with
-      | `Live _ -> "done"
-      | `Memo _ -> "memo"
-      | `Quarantine _ -> "quarantined"
-    in
-    Avis_util.Metrics.emit ~event snapshot;
-    (name, outcome, snapshot)
+    Avis_util.Metrics.emit ~event:run.Campaign.event run.Campaign.snapshot;
+    (cell.Avis_server.Worker.approach, run)
   in
   (* Predicted-longest cells first (LPT): the journal's recorded
      durations, when present, keep a long cell from starting last and
@@ -273,67 +235,23 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
     | Some j -> Cost_model.of_journal j
     | None -> Cost_model.create ()
   in
-  let weight name =
-    Cost_model.predict cost
-      ~label:
-        (Printf.sprintf "%s/%s/%s" name policy.Avis_firmware.Policy.name
-           workload.Workload.name)
-      ~budget_s:budget
+  let weight (cell : Avis_server.Worker.cell) =
+    Cost_model.predict cost ~label:cell.Avis_server.Worker.label ~budget_s:budget
   in
-  let results = Avis_util.Pool.map_lpt ~jobs ~weight hunt_one approaches in
-  let memo_bucket_counts findings =
-    List.fold_left
-      (fun acc (f : Run_journal.finding) ->
-        match List.assoc_opt f.Run_journal.bucket acc with
-        | Some n -> (f.Run_journal.bucket, n + 1) :: List.remove_assoc f.Run_journal.bucket acc
-        | None -> (f.Run_journal.bucket, 1) :: acc)
-      [] findings
-    |> List.rev
-  in
+  let results = Avis_util.Pool.map_lpt ~jobs ~weight hunt_one cells in
   List.iter
-    (fun (name, outcome, _) ->
-      match outcome with
-      | `Quarantine (e : Campaign.cell_error) ->
-        Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
-          e.Campaign.code e.Campaign.attempts e.Campaign.message
-      | `Memo record ->
-        Printf.printf
-          "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s \
-           spent) [served from journal]\n"
-          name
-          (List.length record.Run_journal.findings)
-          record.Run_journal.simulations record.Run_journal.inferences
-          (Run_journal.spent_s record);
-        List.iter
-          (fun (bucket, n) -> Printf.printf "  %-8s %d\n" bucket n)
-          (memo_bucket_counts record.Run_journal.findings);
-        if verbose then
-          List.iteri
-            (fun i (f : Run_journal.finding) ->
-              Printf.printf "[%02d] sim#%d %s\n" i f.Run_journal.simulation_index
-                f.Run_journal.description)
-            record.Run_journal.findings;
+    (fun (name, run) ->
+      let display = Avis_server.Worker.display_name name in
+      match run.Campaign.outcome with
+      | Campaign.Quarantined e -> print_quarantined name e
+      | Campaign.Memo record ->
+        print_daemon_record ~verbose display record;
         if artefacts <> None then
           Printf.printf
             "(journal memos carry no profile; rerun without --journal to \
              write artefacts)\n"
-      | `Live result -> (
-        Printf.printf
-          "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s spent)\n"
-          result.Campaign.approach
-          (Campaign.unsafe_count result)
-          result.Campaign.simulations result.Campaign.inferences
-          result.Campaign.wall_clock_spent_s;
-        List.iter
-          (fun (bucket, n) ->
-            Printf.printf "  %-8s %d\n" (Report.bucket_label bucket) n)
-          (Campaign.count_by_bucket result);
-        if verbose then
-          List.iteri
-            (fun i f ->
-              Printf.printf "[%02d] sim#%d %s\n" i f.Campaign.simulation_index
-                (Report.describe f.Campaign.report))
-            result.Campaign.findings;
+      | Campaign.Live (result, record) -> (
+        print_daemon_record ~verbose display record;
         match artefacts with
         | None -> ()
         | Some dir ->
@@ -350,7 +268,7 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
     results;
   (match results with
   | [] | [ _ ] -> ()
-  | _ -> Avis_util.Metrics.summary (List.map (fun (_, _, s) -> s) results));
+  | _ -> Avis_util.Metrics.summary (List.map (fun (_, r) -> r.Campaign.snapshot) results));
   (match trace with
   | None -> ()
   | Some path ->
@@ -434,41 +352,8 @@ let connect_daemon socket_path =
      exit Cmd.Exit.some_error);
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-(* A daemon result printed exactly as `hunt` prints a live one: the
-   record carries the same counts, spent seconds (by bits) and findings
-   a local run would have produced, so cold, memo-served and
-   resumed-after-a-crash submissions all render identical bytes. *)
-let print_daemon_record ~verbose name (record : Run_journal.record) =
-  Printf.printf
-    "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s spent)\n"
-    name
-    (List.length record.Run_journal.findings)
-    record.Run_journal.simulations record.Run_journal.inferences
-    (Run_journal.spent_s record);
-  List.iter
-    (fun bucket ->
-      let label = Report.bucket_label bucket in
-      let n =
-        List.length
-          (List.filter
-             (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
-             record.Run_journal.findings)
-      in
-      Printf.printf "  %-8s %d\n" label n)
-    Report.all_buckets;
-  if verbose then
-    List.iteri
-      (fun i (f : Run_journal.finding) ->
-        Printf.printf "[%02d] sim#%d %s\n" i f.Run_journal.simulation_index
-          f.Run_journal.description)
-      record.Run_journal.findings
-
-let submit policy workload seed approaches budget shards verbose socket =
-  let approaches =
-    String.split_on_char ',' approaches
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
+let submit policy workload seed approaches budget verbose socket =
+  let approaches = split_approaches approaches in
   let ic, oc = connect_daemon socket in
   output_string oc
     (Avis_server.Wire.render_request
@@ -479,11 +364,9 @@ let submit policy workload seed approaches budget shards verbose socket =
             approaches;
             budget_s = budget;
             seed;
-            shards;
           })
     ^ "\n");
   flush oc;
-  ignore (shards : int);
   Printf.printf
     "submitting %s on %s / %s (budget %.0f s wall-clock each)...\n%!"
     (String.concat ", " approaches)
@@ -529,12 +412,10 @@ let submit policy workload seed approaches budget shards verbose socket =
       match Hashtbl.find_opt results label with
       | Some (_, Avis_server.Wire.Cell_done record)
       | Some (_, Avis_server.Wire.Cell_memo record) ->
-        print_daemon_record ~verbose (Avis_server.Worker.display_name name)
-          record
+        print_daemon_record ~verbose (Avis_server.Worker.display_name name) record
       | Some (_, Avis_server.Wire.Cell_quarantined { code; message; attempts })
         ->
-        Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
-          code attempts message
+        print_quarantined name { Campaign.code; message; attempts }
       | None -> Printf.printf "%s: no result reported\n" name)
     approaches;
   if retries > 0 || quarantined > 0 then
@@ -557,14 +438,6 @@ let submit_cmd =
          & info [ "b"; "budget" ] ~docv:"SECONDS"
              ~doc:"Wall-clock budget in seconds per cell.")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Historical (pre-pull daemons sharded cells statically). \
-                   Accepted and sent for wire compatibility; the daemon's \
-                   pull-based dispatcher sizes workers from pending work \
-                   and ignores it.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding.")
   in
@@ -573,7 +446,7 @@ let submit_cmd =
        ~doc:"Submit a hunt to a running daemon and stream its progress. \
              Results are byte-identical to `hunt` of the same request.")
     Term.(const submit $ firmware_arg $ workload_arg $ seed_arg $ approach
-          $ budget $ shards $ verbose $ socket_arg)
+          $ budget $ verbose $ socket_arg)
 
 let watch socket =
   let ic, oc = connect_daemon socket in

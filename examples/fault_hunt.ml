@@ -22,7 +22,6 @@ let approaches =
   ]
 
 let hunt (name, strategy) =
-  let started = Metrics.now_s () in
   let config =
     {
       (Campaign.default_config policy workload) with
@@ -32,32 +31,9 @@ let hunt (name, strategy) =
           ~workload:workload.Workload.name ~approach:name ();
     }
   in
-  let result = Campaign.run config ~strategy in
-  let store_hits, store_misses, store_bytes =
-    match result.Campaign.cache_stats with
-    | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-    | None -> (0, 0, 0)
-  in
-  let snapshot =
-    {
-      Metrics.cell =
-        Printf.sprintf "%s/%s/%s" name policy.Avis_firmware.Policy.name
-          workload.Workload.name;
-      simulations = result.Campaign.simulations;
-      inferences = result.Campaign.inferences;
-      spent_s = result.Campaign.wall_clock_spent_s;
-      budget_s;
-      findings = Campaign.unsafe_count result;
-      wall_s = Metrics.now_s () -. started;
-      minor_words = result.Campaign.minor_words;
-      major_collections = result.Campaign.major_collections;
-      store_hits;
-      store_misses;
-      store_bytes;
-    }
-  in
-  Metrics.emit ~event:"done" snapshot;
-  (name, result, snapshot)
+  let run = Campaign.run_cell config ~approach:name ~strategy in
+  Metrics.emit ~event:run.Campaign.event run.Campaign.snapshot;
+  (name, run)
 
 let () =
   let jobs = Pool.jobs_of_env () in
@@ -68,20 +44,24 @@ let () =
     (List.length approaches) jobs budget_s;
   let results = Pool.map ~jobs hunt approaches in
   List.iter
-    (fun (name, result, _) ->
-      Printf.printf "\n%s: %d simulations, %d unsafe conditions found:\n" name
-        result.Campaign.simulations
-        (Campaign.unsafe_count result);
-      List.iteri
-        (fun i f ->
-          Printf.printf "%2d. (simulation #%d)\n    %s\n" (i + 1)
-            f.Campaign.simulation_index
-            (Report.describe f.Campaign.report))
-        result.Campaign.findings;
-      Printf.printf "unsafe conditions by operating mode at injection:\n";
-      List.iter
-        (fun (bucket, n) ->
-          Printf.printf "  %-8s %d\n" (Report.bucket_label bucket) n)
-        (Campaign.count_by_bucket result))
+    (fun (name, run) ->
+      match run.Campaign.outcome with
+      | Campaign.Memo _ | Campaign.Quarantined _ ->
+        Printf.printf "\n%s: no result (%s)\n" name run.Campaign.event
+      | Campaign.Live (result, _) ->
+        Printf.printf "\n%s: %d simulations, %d unsafe conditions found:\n" name
+          result.Campaign.simulations
+          (Campaign.unsafe_count result);
+        List.iteri
+          (fun i f ->
+            Printf.printf "%2d. (simulation #%d)\n    %s\n" (i + 1)
+              f.Campaign.simulation_index
+              (Report.describe f.Campaign.report))
+          result.Campaign.findings;
+        Printf.printf "unsafe conditions by operating mode at injection:\n";
+        List.iter
+          (fun (bucket, n) ->
+            Printf.printf "  %-8s %d\n" (Report.bucket_label bucket) n)
+          (Campaign.count_by_bucket result))
     results;
-  Metrics.summary (List.map (fun (_, _, s) -> s) results)
+  Metrics.summary (List.map (fun (_, run) -> run.Campaign.snapshot) results)

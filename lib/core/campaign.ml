@@ -31,12 +31,14 @@ let default_config policy workload =
 
 type finding = { report : Report.t; simulation_index : int }
 
-type progress = {
+type progress = Avis_util.Metrics.snapshot = {
+  cell : string;
   simulations : int;
   inferences : int;
   spent_s : float;
   budget_s : float;
   findings : int;
+  wall_s : float;
   minor_words : float;
   major_collections : int;
   store_hits : int;
@@ -86,6 +88,14 @@ let watchdog_counters () =
     Atomic.get deadline_hits_total )
 
 type cell_error = { code : string; message : string; attempts : int }
+
+(* Declared before [supervised] so that an unqualified [Quarantined] keeps
+   meaning the supervised arm wherever the type is not known. *)
+type cell_outcome =
+  | Live of result * Run_journal.record
+  | Memo of Run_journal.record
+  | Quarantined of cell_error
+
 type 'a supervised = Completed of 'a | Quarantined of cell_error
 
 type supervision = {
@@ -271,9 +281,9 @@ let journal_finding (f : finding) =
   }
 
 (* One construction site for the journal's view of a completed campaign:
-   [run]'s own journalling and the hunt daemon's wire results both go
-   through here, so a record streamed to a client is byte-for-byte the
-   record a journal would memo-serve. *)
+   [run]'s own journalling and [run_cell]'s journal-less records both go
+   through here, so a record printed or streamed to a client is
+   byte-for-byte the record a journal would memo-serve. *)
 let record_of_result ?elapsed_s (config : config) ~approach ~fingerprint
     (result : result) =
   {
@@ -330,6 +340,10 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
   in
   let profile, ctx, _first = profile_and_context config in
   let searcher = strategy ctx in
+  let approach =
+    match journal_approach with Some a -> a | None -> searcher.Search.name
+  in
+  let label = label_of config ~approach in
   let budget = Budget.create ~speedup:config.speedup ~total_s:config.budget_s () in
   let findings = ref [] in
   let stopped = ref false in
@@ -380,11 +394,13 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
     in
     progress
       {
+        cell = label;
         simulations = Budget.simulations_run budget;
         inferences = Budget.inferences_run budget;
         spent_s = Budget.spent_s budget;
         budget_s = config.budget_s;
         findings = List.length !findings;
+        wall_s = Avis_util.Metrics.now_s () -. wall0;
         minor_words = gc_minor_words ();
         major_collections = gc_majors ();
         store_hits;
@@ -459,9 +475,6 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
   in
   (match journal with
   | Some j when not was_interrupted ->
-    let approach =
-      match journal_approach with Some a -> a | None -> result.approach
-    in
     (* Measured here — one campaign's wall time, profiling included — so
        every journal writer records the same notion of cell duration and
        the cost model's history is comparable across entry points. *)
@@ -494,6 +507,105 @@ let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
   with_retries ~supervision ~label (fun ~attempt:_ ->
       run ?stop_when ?progress ?cache ~deadline_s ?journal
         ?journal_approach config ~strategy)
+
+type cell_run = {
+  outcome : cell_outcome;
+  snapshot : Avis_util.Metrics.snapshot;
+  event : string;
+}
+
+let memo_snapshot ~budget_s ~wall_s (record : Run_journal.record) =
+  {
+    Avis_util.Metrics.cell = record.Run_journal.label;
+    simulations = record.Run_journal.simulations;
+    inferences = record.Run_journal.inferences;
+    spent_s = Run_journal.spent_s record;
+    budget_s;
+    findings = List.length record.Run_journal.findings;
+    wall_s;
+    minor_words = 0.0;
+    major_collections = 0;
+    store_hits = 0;
+    store_misses = 0;
+    store_bytes = 0;
+  }
+
+(* The one cell runner behind `hunt`, the daemon's workers and the bench
+   matrix: memo, else a supervised run, then the cell's record and its
+   terminal metrics. A live record is read back from the journal [run]
+   just appended, so its bytes are exactly those a later memo serves. *)
+let run_cell ?journal ?progress config ~approach ~strategy =
+  let started = Avis_util.Metrics.now_s () in
+  let elapsed () = Avis_util.Metrics.now_s () -. started in
+  let memo j = journal_memo j config ~approach in
+  match Option.bind journal memo with
+  | Some record ->
+    {
+      outcome = Memo record;
+      snapshot =
+        memo_snapshot ~budget_s:config.budget_s ~wall_s:(elapsed ()) record;
+      event = "memo";
+    }
+  | None ->
+    let supervised =
+      run_supervised ?progress ?journal ~journal_approach:approach config
+        ~strategy
+    in
+    (match journal with
+    | Some j when interrupted () ->
+      Run_journal.record_interrupted j
+        ~key:(journal_key j config ~approach)
+        ~label:(label_of config ~approach)
+    | Some _ | None -> ());
+    let wall_s = elapsed () in
+    let zero =
+      {
+        Avis_util.Metrics.cell = label_of config ~approach;
+        simulations = 0; inferences = 0; spent_s = 0.0;
+        budget_s = config.budget_s; findings = 0; wall_s; minor_words = 0.0;
+        major_collections = 0; store_hits = 0; store_misses = 0;
+        store_bytes = 0;
+      }
+    in
+    (match supervised with
+    | Quarantined e ->
+      { outcome = Quarantined e; snapshot = zero; event = "quarantined" }
+    | Completed result ->
+      let record =
+        match Option.bind journal memo with
+        | Some record -> record
+        | None ->
+          (* No journal, or an interrupted run that journaled nothing. *)
+          let fingerprint =
+            match journal with
+            | Some j -> Run_journal.fingerprint j
+            | None -> Checkpoint_store.default_fingerprint ()
+          in
+          record_of_result ~elapsed_s:wall_s config ~approach ~fingerprint
+            result
+      in
+      let store_hits, store_misses, store_bytes =
+        match result.cache_stats with
+        | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
+        | None -> (0, 0, 0)
+      in
+      {
+        outcome = Live (result, record);
+        snapshot =
+          {
+            zero with
+            simulations = result.simulations;
+            inferences = result.inferences;
+            spent_s = result.wall_clock_spent_s;
+            findings = List.length result.findings;
+            minor_words = result.minor_words;
+            major_collections = result.major_collections;
+            store_hits;
+            store_misses;
+            store_bytes;
+          };
+        event = "done";
+      })
 
 (* A stable, platform-independent seed for one (policy, workload,
    approach) cell of a campaign matrix: FNV-1a over the labels, folded

@@ -39,26 +39,28 @@ val default_config : Policy.t -> Workload.t -> config
 
 type finding = { report : Report.t; simulation_index : int }
 
-type progress = {
+type progress = Avis_util.Metrics.snapshot = {
+  cell : string;
   simulations : int;
   inferences : int;
   spent_s : float;
   budget_s : float;
   findings : int;
+  wall_s : float;
   minor_words : float;
-      (** Minor-heap words allocated since the cell started. *)
   major_collections : int;
-      (** Major GC cycles completed since the cell started. *)
   store_hits : int;
-      (** Persistent-store restores so far; 0 when no store is active. *)
   store_misses : int;
-      (** Store consultations that fell through to a cold run. *)
-  store_bytes : int;  (** Bytes on disk under the store directory. *)
+  store_bytes : int;
 }
-(** A snapshot of the search loop's counters, handed to the [progress]
-    callback of {!run} after every simulated scenario. The GC fields are
-    deltas from the start of the cell, so cells are comparable no matter
-    what ran before them in the process. *)
+(** The search loop's counters, handed to the [progress] callback of
+    {!run} after every simulated scenario: the metrics snapshot itself,
+    re-exported so its fields read as [p.Campaign.spent_s], and ready for
+    {!Avis_util.Metrics.emit} as it stands. [cell] is {!label_of} under
+    the journal approach (default the strategy's name); [wall_s] counts
+    from the moment {!run} was entered. The GC fields are deltas from the
+    start of the cell, so cells are comparable no matter what ran before
+    them in the process. *)
 
 type result = {
   approach : string;
@@ -146,6 +148,16 @@ type cell_error = {
   attempts : int;  (** Attempts consumed, including the first. *)
 }
 
+type cell_outcome =
+  | Live of result * Run_journal.record
+      (** Ran to completion here; the record is the one a later memo of
+          the cell serves. *)
+  | Memo of Run_journal.record  (** Served from the journal. *)
+  | Quarantined of cell_error
+(** How {!run_cell} settled a cell. Declared before {!supervised}, so an
+    unqualified [Quarantined] whose type is not known still means the
+    supervised arm. *)
+
 type 'a supervised = Completed of 'a | Quarantined of cell_error
 
 type supervision = {
@@ -180,6 +192,41 @@ val run_supervised :
     is always one uninterrupted campaign's. [lanes] is ignored, kept so
     existing callers compile. *)
 
+(** {2 Cells}
+
+    One firmware × workload × approach campaign as the paper's tables
+    count it: [avis_cli hunt], the hunt daemon's workers and the bench
+    matrix all run their cells through {!run_cell}. *)
+
+type cell_run = {
+  outcome : cell_outcome;
+  snapshot : Avis_util.Metrics.snapshot;  (** The cell's terminal metrics. *)
+  event : string;  (** ["done"], ["memo"] or ["quarantined"]. *)
+}
+
+val run_cell :
+  ?journal:Run_journal.t -> ?progress:(progress -> unit) -> config ->
+  approach:string -> strategy:(Search.context -> Search.t) -> cell_run
+(** Serve the cell from [journal] when it holds a memo; otherwise run it
+    under {!run_supervised} (default supervision, [approach] as the
+    journal approach). A live cell's record is read back from the journal
+    after the run, so its bytes equal a later memo's; without a journal it
+    is {!record_of_result} under this binary's fingerprint. A run cut
+    short by {!request_interrupt} leaves an incomplete marker in the
+    journal ({!Run_journal.record_interrupted}). The snapshot is labelled
+    {!label_of}: the result's counters for ["done"], {!memo_snapshot} for
+    ["memo"], and zero counters carrying the budget for ["quarantined"].
+    Callers emit or relay it themselves. *)
+
+val memo_snapshot :
+  budget_s:float -> wall_s:float -> Run_journal.record ->
+  Avis_util.Metrics.snapshot
+(** The metrics snapshot a memo-served cell reports: counters from the
+    record, no GC or store activity (nothing ran). Shared by {!run_cell},
+    the hunt daemon's parent-side memo path and its clients, so a
+    memo-served cell's metrics line is identical wherever the memo was
+    found. *)
+
 val watchdog_counters : unit -> int * int * int
 (** Process-lifetime [(retries, quarantined, deadline_hits)] totals —
     the same values mirrored to the trace counter tracks. *)
@@ -212,8 +259,9 @@ val record_of_result :
   ?elapsed_s:float -> config -> approach:string -> fingerprint:string ->
   result -> Run_journal.record
 (** The journal record {!run} would append for this result — the single
-    construction site shared with the hunt daemon's wire results, so a
-    streamed result and a journal memo of the same cell are identical.
+    construction site shared with {!run_cell}'s journal-less records, so
+    a printed, streamed or tabulated result and a journal memo of the
+    same cell are identical.
     [elapsed_s] is the cell's measured wall-clock duration (the cost
     model's training signal); omitted, the record carries no duration. *)
 

@@ -393,7 +393,7 @@ let submit st (c : client) (r : Wire.hunt_request) =
               (Avis_util.Metrics.line
                  ~tags:[ ("req", rq.id) ]
                  ~event:"memo"
-                 (Worker.memo_snapshot
+                 (Campaign.memo_snapshot
                     ~budget_s:cell.Worker.config.Campaign.budget_s ~wall_s:0.0
                     record));
             broadcast st rq

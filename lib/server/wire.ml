@@ -7,7 +7,6 @@ type hunt_request = {
   approaches : string list;
   budget_s : float;
   seed : int;
-  shards : int;
 }
 
 type request =
@@ -75,7 +74,6 @@ let request_to_json = function
         ( "budget_bits",
           Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float r.budget_s)) );
         ("seed", Json.int r.seed);
-        ("shards", Json.int r.shards);
       ]
   | Watch -> Json.Assoc [ ("op", Json.String "watch") ]
   | Status -> Json.Assoc [ ("op", Json.String "status") ]
@@ -106,8 +104,7 @@ let hunt_request_of_json j =
     Some (Int64.float_of_bits bits)
   in
   let* seed = num (Json.member "seed" j) in
-  let* shards = num (Json.member "shards" j) in
-  Some { firmware; workload; approaches; budget_s; seed; shards }
+  Some { firmware; workload; approaches; budget_s; seed }
 
 let request_of_json j =
   match str (Json.member "op" j) with

@@ -25,11 +25,6 @@ type hunt_request = {
   approaches : string list;  (** Search strategies, one cell each. *)
   budget_s : float;  (** Modelled wall-clock budget per cell. *)
   seed : int;  (** Base seed; each cell derives its own via FNV-1a. *)
-  shards : int;
-      (** Historical: the static-shard count of the pre-pull daemon.
-          Accepted (and round-tripped) for wire compatibility, but the
-          pull-based dispatcher sizes workers from pending work, so the
-          value no longer influences scheduling. *)
 }
 
 type request =

@@ -30,21 +30,14 @@ val strategy_of_name : string -> (Search.context -> Search.t) option
 val display_name : string -> string
 (** The strategy's [Search.name] for a CLI approach name (identity for
     unknown names) — what a live campaign result reports as its
-    approach, and therefore what `submit` prints so daemon output
-    matches `hunt` output byte for byte. *)
+    approach, and the name `hunt` and `submit` print each cell under. *)
 
 val cells_of_request : Wire.hunt_request -> (cell list, string) result
-(** Validate and expand a request into one cell per approach. Each cell's
-    config is built exactly as [avis_cli hunt] builds it — same
-    {!Campaign.default_config}, budget and {!Campaign.cell_seed} — which
-    is what makes daemon results byte-comparable to in-process runs. *)
-
-val shard_cells : shards:int -> 'a list -> 'a list list
-(** Round-robin the cells into [max 1 shards] non-empty groups (fewer
-    when there are fewer cells than shards). No longer on the daemon's
-    dispatch path — it pulls cells one at a time — but still the model
-    of the historical static-shard schedule, which the scheduling bench
-    simulates against and `hunt --shards` documentation refers to. *)
+(** Validate and expand a request into one cell per approach:
+    {!Campaign.default_config} with the request's budget and a
+    {!Campaign.cell_seed} per cell. [avis_cli hunt] builds its cells here
+    too, which is what makes daemon results byte-comparable to
+    in-process runs. *)
 
 val fork_budget : limit:int -> live:int -> idle_slots:int -> pending:int -> int
 (** How many additional workers pending work justifies: never more than
@@ -59,23 +52,15 @@ val cell_of_assignment : Wire.assignment -> (cell, string) result
     approach as the sole entry), so an assigned cell's config cannot
     drift from what `submit` validated. *)
 
-val memo_snapshot :
-  budget_s:float -> wall_s:float -> Run_journal.record ->
-  Avis_util.Metrics.snapshot
-(** The metrics snapshot a memo-served cell reports: counters from the
-    record, no GC or store activity (nothing ran). Shared by the worker,
-    the daemon's parent-side memo path and the client's reconstruction,
-    so a memo-served cell's metrics line is identical wherever the memo
-    was found. *)
-
 val serve_pull :
   ?journal_path:string -> jobs:int -> input:Unix.file_descr ->
   out:Unix.file_descr -> unit -> unit
 (** The forked child's main: request cells over [out] (one
     {!Wire.response.Cell_request} per free slot), execute each
-    {!Wire.directive.Cell_assign} read from [input] (memo-serving from
-    the journal at [journal_path] when it already holds the cell), and
-    report terminal {!Wire.response.Cell_result} lines plus req-tagged
+    {!Wire.directive.Cell_assign} read from [input] through
+    {!Campaign.run_cell} (memo-serving from the journal at
+    [journal_path] when it already holds the cell), and report terminal
+    {!Wire.response.Cell_result} lines plus req-tagged
     {!Avis_util.Metrics} lines. A live cell's record is read back from
     the journal after the run, so its wire bytes equal a later memo's.
     Each line is written whole under a mutex, so the stream stays

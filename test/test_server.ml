@@ -41,7 +41,6 @@ let sample_request =
     (* Not representable in decimal: the bits must survive the wire. *)
     budget_s = 0.1 +. 0.2;
     seed = 42;
-    shards = 2;
   }
 
 let sample_record =
@@ -63,10 +62,10 @@ let sample_record =
       ];
   }
 
-(* A frame as an older client or daemon rendered it, still carrying the
-   removed "lanes" field, which decoders must ignore. *)
-let with_legacy_lanes line =
-  String.sub line 0 (String.length line - 1) ^ {|,"lanes":4}|}
+(* A frame as an older client or daemon rendered it, still carrying a
+   since-removed field ("lanes", "shards"), which decoders must ignore. *)
+let with_legacy field line =
+  String.sub line 0 (String.length line - 1) ^ "," ^ field ^ "}"
 
 let check_request ?(render = Fun.id) r =
   match Wire.parse_request (render (Wire.render_request r)) with
@@ -80,7 +79,8 @@ let check_response r =
 
 let test_wire_request_roundtrip () =
   check_request (Wire.Submit sample_request);
-  check_request ~render:with_legacy_lanes (Wire.Submit sample_request);
+  check_request ~render:(with_legacy {|"lanes":4|}) (Wire.Submit sample_request);
+  check_request ~render:(with_legacy {|"shards":2|}) (Wire.Submit sample_request);
   check_request Wire.Watch;
   check_request Wire.Status;
   check_request Wire.Ping
@@ -184,7 +184,8 @@ let check_directive ?(render = Fun.id) d =
 
 let test_wire_directive_roundtrip () =
   check_directive (Wire.Cell_assign sample_assignment);
-  check_directive ~render:with_legacy_lanes (Wire.Cell_assign sample_assignment);
+  check_directive ~render:(with_legacy {|"lanes":4|})
+    (Wire.Cell_assign sample_assignment);
   check_directive Wire.Drain;
   (match Wire.parse_directive {|{"op":"cell-assign","req":"r1"}|} with
   | Error _ -> ()
@@ -197,7 +198,7 @@ let test_wire_directive_roundtrip () =
    worker's cell config cannot drift from what submit/hunt would build. *)
 let test_cell_of_assignment () =
   let req =
-    { sample_request with Wire.approaches = [ "random" ]; shards = 1 }
+    { sample_request with Wire.approaches = [ "random" ] }
   in
   let from_request =
     match Worker.cells_of_request req with
@@ -323,19 +324,6 @@ let test_cells_of_request_rejects () =
     { sample_request with Wire.budget_s = infinity };
   expect_error "nan budget" { sample_request with Wire.budget_s = nan }
 
-let test_shard_cells () =
-  let groups = Worker.shard_cells ~shards:3 [ 1; 2; 3; 4; 5; 6; 7 ] in
-  Alcotest.(check (list (list int)))
-    "round robin" [ [ 1; 4; 7 ]; [ 2; 5 ]; [ 3; 6 ] ] groups;
-  Alcotest.(check (list (list int)))
-    "more shards than cells" [ [ 1 ]; [ 2 ] ]
-    (Worker.shard_cells ~shards:5 [ 1; 2 ]);
-  Alcotest.(check (list (list int)))
-    "non-positive shard count" [ [ 1; 2 ] ]
-    (Worker.shard_cells ~shards:0 [ 1; 2 ]);
-  Alcotest.(check (list (list int))) "no cells" []
-    (Worker.shard_cells ~shards:3 [])
-
 (* The client prints daemon results under the strategy's display name;
    the mapping must agree with what each strategy actually reports. *)
 let test_display_names_match () =
@@ -425,7 +413,6 @@ let tiny_request =
     approaches = [ "random" ];
     budget_s = 20.0;
     seed = 3;
-    shards = 1;
   }
 
 let record_bytes r = Avis_util.Json.to_string (Run_journal.record_to_json r)
@@ -515,7 +502,6 @@ let () =
             test_cells_of_request;
           Alcotest.test_case "invalid requests rejected" `Quick
             test_cells_of_request_rejects;
-          Alcotest.test_case "round-robin sharding" `Quick test_shard_cells;
           Alcotest.test_case "assignments rebuild request configs" `Quick
             test_cell_of_assignment;
           Alcotest.test_case "fork budget" `Quick test_fork_budget;

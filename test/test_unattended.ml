@@ -243,17 +243,31 @@ let test_cost_model_of_journal () =
 (* Campaign memos                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let record_bytes r = Avis_util.Json.to_string (Run_journal.record_to_json r)
+
+(* [Campaign.run_cell]'s three arms on one journal: a cold cell runs live
+   and journals the record it returns, the same cell again is served from
+   that memo, and a cell whose watchdog fires is quarantined. *)
 let test_campaign_journal_memo () =
   with_journal_path @@ fun path ->
   let j = Run_journal.open_ ~fingerprint:"fp" path in
   let config = small_config () in
   Alcotest.(check bool) "no memo before the run" true
     (Campaign.journal_memo j config ~approach:"avis" = None);
-  let live = Campaign.run ~journal:j ~journal_approach:"avis" config ~strategy:sabre in
+  let first = Campaign.run_cell ~journal:j config ~approach:"avis" ~strategy:sabre in
+  let live, live_record =
+    match first.Campaign.outcome with
+    | Campaign.Live (result, record) -> (result, record)
+    | Campaign.Memo _ | Campaign.Quarantined _ ->
+      Alcotest.fail "a cold cell must run live"
+  in
+  Alcotest.(check string) "live event" "done" first.Campaign.event;
   let j2 = Run_journal.open_ ~fingerprint:"fp" path in
   (match Campaign.journal_memo j2 config ~approach:"avis" with
   | None -> Alcotest.fail "completed cell not memoised"
   | Some m ->
+    Alcotest.(check string) "live record bytes = memo bytes"
+      (record_bytes live_record) (record_bytes m);
     Alcotest.(check int) "simulations" live.Campaign.simulations
       m.Run_journal.simulations;
     Alcotest.(check int) "inferences" live.Campaign.inferences
@@ -275,6 +289,28 @@ let test_campaign_journal_memo () =
           (Report.describe f.Campaign.report)
           g.Run_journal.description)
       live.Campaign.findings m.Run_journal.findings);
+  let second =
+    Campaign.run_cell ~journal:j2 config ~approach:"avis" ~strategy:sabre
+  in
+  (match second.Campaign.outcome with
+  | Campaign.Memo record ->
+    Alcotest.(check string) "memo serves the live record"
+      (record_bytes live_record) (record_bytes record)
+  | Campaign.Live _ | Campaign.Quarantined _ ->
+    Alcotest.fail "a journaled cell must be memo-served");
+  Alcotest.(check string) "memo event" "memo" second.Campaign.event;
+  let a = first.Campaign.snapshot and b = second.Campaign.snapshot in
+  Alcotest.(check string) "memo label" a.Avis_util.Metrics.cell
+    b.Avis_util.Metrics.cell;
+  Alcotest.(check int) "memo sims" a.Avis_util.Metrics.simulations
+    b.Avis_util.Metrics.simulations;
+  Alcotest.(check int) "memo infs" a.Avis_util.Metrics.inferences
+    b.Avis_util.Metrics.inferences;
+  Alcotest.(check bool) "memo spent bit-identical" true
+    (Int64.bits_of_float a.Avis_util.Metrics.spent_s
+    = Int64.bits_of_float b.Avis_util.Metrics.spent_s);
+  Alcotest.(check int) "memo findings" a.Avis_util.Metrics.findings
+    b.Avis_util.Metrics.findings;
   (* Another approach label is a different cell, another seed a different
      config: neither may be served this memo. *)
   Alcotest.(check bool) "approach isolates memos" true
@@ -283,7 +319,33 @@ let test_campaign_journal_memo () =
     (Campaign.journal_memo j2
        { config with Campaign.seed = config.Campaign.seed + 1 }
        ~approach:"avis"
-    = None)
+    = None);
+  (* run_cell runs under the default supervision, whose deadline derives
+     from the budget; a strategy that trips the watchdog at once stands in
+     for a zero deadline. *)
+  let doomed =
+    Campaign.run_cell ~journal:j2 config ~approach:"doomed"
+      ~strategy:(fun _ -> raise (Campaign.Cell_deadline 0.0))
+  in
+  (match doomed.Campaign.outcome with
+  | Campaign.Quarantined e ->
+    Alcotest.(check string) "stable code" "CELL-DEADLINE" e.Campaign.code
+  | Campaign.Live _ | Campaign.Memo _ ->
+    Alcotest.fail "a cell past its deadline must be quarantined");
+  Alcotest.(check string) "quarantine event" "quarantined"
+    doomed.Campaign.event;
+  let z = doomed.Campaign.snapshot in
+  Alcotest.(check string) "quarantine label"
+    (Campaign.label_of config ~approach:"doomed")
+    z.Avis_util.Metrics.cell;
+  Alcotest.(check (list int)) "zero counters" [ 0; 0; 0 ]
+    [ z.Avis_util.Metrics.simulations; z.Avis_util.Metrics.inferences;
+      z.Avis_util.Metrics.findings ];
+  Alcotest.(check (float 0.0)) "zero spend" 0.0 z.Avis_util.Metrics.spent_s;
+  Alcotest.(check (float 0.0)) "carries the budget" config.Campaign.budget_s
+    z.Avis_util.Metrics.budget_s;
+  Alcotest.(check bool) "quarantined cell not journaled" true
+    (Campaign.journal_memo j2 config ~approach:"doomed" = None)
 
 let test_interrupted_run_appends_nothing () =
   with_journal_path @@ fun path ->
