@@ -36,6 +36,27 @@ let section title =
 
 let subsection title = Printf.printf "\n--- %s ---\n" title
 
+let yn b = if b then "yes" else "NO"
+
+(* [f ()] and its wall-clock seconds on the monotonic clock. *)
+let timed f =
+  let t0 = Metrics.now_s () in
+  let v = f () in
+  (v, Metrics.now_s () -. t0)
+
+let write_artefact path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string_pretty json);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n" path
+
+(* Every engineering section checks that its code paths agree on each
+   cell's result; a section that saw a divergence is named here and the
+   bench exits 1. *)
+let diverged = ref []
+
+let identity section ok = if not ok then diverged := section :: !diverged
+
 (* ------------------------------------------------------------------ *)
 (* Campaign matrix: run once, reused by Tables II, III and IV.         *)
 (* ------------------------------------------------------------------ *)
@@ -120,13 +141,8 @@ let campaign_matrix =
                  (fun ((name, _) as approach) ->
                    ( policy,
                      approach,
-                     {
-                       (Campaign.default_config policy workload) with
-                       Campaign.budget_s;
-                       seed =
-                         Campaign.cell_seed ~policy:policy.Policy.name
-                           ~workload:workload.Workload.name ~approach:name ();
-                     } ))
+                     Campaign.cell_config ~budget_s policy workload
+                       ~approach:name ))
                  approaches)
              workloads)
          policies
@@ -555,13 +571,10 @@ let table5 () =
     let run approach strategy =
       let config =
         {
-          (Campaign.default_config policy workload) with
-          Campaign.budget_s;
-          enabled_bugs = [ bug ];
-          seed =
-            Campaign.cell_seed ~policy:policy.Policy.name
-              ~workload:workload.Workload.name
-              ~approach:(approach ^ "/" ^ info.Bug.report) ();
+          (Campaign.cell_config ~budget_s policy workload
+             ~approach:(approach ^ "/" ^ info.Bug.report))
+          with
+          Campaign.enabled_bugs = [ bug ];
         }
       in
       let result =
@@ -734,36 +747,25 @@ let prefix_cache_bench () =
      path, where every scenario forks from its last checkpoint and only the
      tail is simulated). All three must produce identical results. *)
   let run_cell (policy, workload, (name, strategy)) =
-    let config cached =
-      {
-        (Campaign.default_config policy workload) with
-        Campaign.budget_s = bench_budget;
-        prefix_cache = cached;
-        seed =
-          Campaign.cell_seed ~policy:policy.Policy.name
-            ~workload:workload.Workload.name ~approach:name ();
-      }
+    let config =
+      Campaign.cell_config ~budget_s:bench_budget policy workload ~approach:name
     in
-    let time ?cache cached =
-      let t0 = Metrics.now_s () in
-      let result = Campaign.run ?cache (config cached) ~strategy in
-      (result, Metrics.now_s () -. t0)
+    let run ?cache prefix_cache =
+      timed (fun () -> Campaign.run ?cache { config with prefix_cache } ~strategy)
     in
-    let cold, cold_s = time false in
-    let cache = Campaign.make_cache (config true) in
-    let cached, cached_s = time ~cache true in
-    let replay, replay_s = time ~cache true in
-    let same a b =
-      a.Campaign.simulations = b.Campaign.simulations
-      && Campaign.unsafe_count a = Campaign.unsafe_count b
-      && a.Campaign.wall_clock_spent_s = b.Campaign.wall_clock_spent_s
-      && List.map (fun f -> f.Campaign.simulation_index) a.Campaign.findings
-         = List.map (fun f -> f.Campaign.simulation_index) b.Campaign.findings
+    let cold, cold_s = run false in
+    let cache = Campaign.make_cache config in
+    let cached, cached_s = run ~cache true in
+    let replay, replay_s = run ~cache true in
+    let digest = Campaign.result_digest config ~approach:name in
+    let identical =
+      digest cold = digest cached && digest cold = digest replay
     in
-    let identical = same cold cached && same cold replay in
     (policy, workload, name, cold, cached, cold_s, cached_s, replay_s, identical)
   in
   let rows = Pool.map ~jobs run_cell specs in
+  identity "prefix_cache"
+    (List.for_all (fun (_, _, _, _, _, _, _, _, identical) -> identical) rows);
   let speedup cold_s s = cold_s /. Float.max 1e-9 s in
   let t =
     Table.create
@@ -781,7 +783,7 @@ let prefix_cache_bench () =
           Printf.sprintf "%.1fx" (speedup cold_s cached_s);
           Printf.sprintf "%.2f" replay_s;
           Printf.sprintf "%.1fx" (speedup cold_s replay_s);
-          (if identical then "yes" else "NO");
+          yn identical;
         ])
     rows;
   Table.print t;
@@ -814,6 +816,9 @@ let prefix_cache_bench () =
                        ("cache_hits", Json.int s.Prefix_cache.hits);
                        ("cache_misses", Json.int s.Prefix_cache.misses);
                        ("saved_sim_s", Json.Number s.Prefix_cache.saved_sim_s);
+                       ( "cache_resident_bytes",
+                         Json.int s.Prefix_cache.resident_bytes );
+                       ("cache_evictions", Json.int s.Prefix_cache.evictions);
                      ]
                  in
                  Json.Assoc
@@ -834,11 +839,7 @@ let prefix_cache_bench () =
                rows) );
       ]
   in
-  let path = "BENCH_prefix_cache.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n');
-  Printf.printf "wrote %s (%d cells)\n" path (List.length rows)
+  write_artefact "BENCH_prefix_cache.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint store: cold vs warm-process campaign wall-clock           *)
@@ -865,38 +866,24 @@ let store_bench () =
             (Sys.readdir store_dir)
         with Sys_error _ -> false)
   in
-  let config cached =
-    {
-      (Campaign.default_config policy workload) with
-      Campaign.budget_s = bench_budget;
-      prefix_cache = cached;
-      seed =
-        Campaign.cell_seed ~policy:policy.Policy.name
-          ~workload:workload.Workload.name ~approach:name ();
-    }
+  let config =
+    Campaign.cell_config ~budget_s:bench_budget policy workload ~approach:name
   in
-  let time ?cache cached =
-    let t0 = Metrics.now_s () in
-    let result = Campaign.run ?cache (config cached) ~strategy in
-    (result, Metrics.now_s () -. t0)
+  let run ?cache prefix_cache =
+    timed (fun () -> Campaign.run ?cache { config with prefix_cache } ~strategy)
   in
   (* Three campaigns: cold (no cache, no store), then two with *fresh*
      prefix-cache instances sharing the store directory. The second
      instance starts with empty memory, so everything it restores comes
      off disk — the same path a brand-new process takes. *)
-  let cold, cold_s = time false in
-  let first, first_s = time ~cache:(Campaign.make_cache ~store_dir (config true)) true in
-  let second, second_s =
-    time ~cache:(Campaign.make_cache ~store_dir (config true)) true
-  in
-  let same a b =
-    a.Campaign.simulations = b.Campaign.simulations
-    && Campaign.unsafe_count a = Campaign.unsafe_count b
-    && a.Campaign.wall_clock_spent_s = b.Campaign.wall_clock_spent_s
-    && List.map (fun f -> f.Campaign.simulation_index) a.Campaign.findings
-       = List.map (fun f -> f.Campaign.simulation_index) b.Campaign.findings
-  in
-  let identical = same cold first && same cold second in
+  let cold, cold_s = run false in
+  let first, first_s = run ~cache:(Campaign.make_cache ~store_dir config) true in
+  let second, second_s = run ~cache:(Campaign.make_cache ~store_dir config) true in
+  let digest = Campaign.result_digest config ~approach:name in
+  let first_identical = digest first = digest cold in
+  let second_identical = digest second = digest cold in
+  let identical = first_identical && second_identical in
+  identity "store" identical;
   let store_counters (r : Campaign.result) =
     match r.Campaign.cache_stats with
     | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
@@ -909,16 +896,15 @@ let store_bench () =
       ~header:
         [ "campaign"; "wall (s)"; "store hits"; "store miss"; "identical" ]
   in
-  let yn b = if b then "yes" else "NO" in
   Table.add_row t [ "cold (store off)"; Printf.sprintf "%.2f" cold_s; "-"; "-"; "-" ];
   Table.add_row t
     [ "first instance"; Printf.sprintf "%.2f" first_s;
       string_of_int first_hits; string_of_int first_misses;
-      yn (same cold first) ];
+      yn first_identical ];
   Table.add_row t
     [ "second instance"; Printf.sprintf "%.2f" second_s;
       string_of_int second_hits; string_of_int second_misses;
-      yn (same cold second) ];
+      yn second_identical ];
   Table.print t;
   Printf.printf
     "store dir %s: %d bytes, warm start %s, second instance served %s\n"
@@ -946,11 +932,7 @@ let store_bench () =
         ("identical", Json.Bool identical);
       ]
   in
-  let path = "BENCH_store.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
+  write_artefact "BENCH_store.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Link faults: campaigns over the link-outage scenario space           *)
@@ -963,46 +945,32 @@ let link_faults_bench () =
      to the link-outage scenario space — outages at mode boundaries plus
      the sensor faults SABRE composes onto the failsafe transitions those
      outages induce — stopped at the first finding whose scenario includes
-     the outage. Each cell runs cold and cached; both must agree on every
-     count, so the outage scenarios fork bit-identically from snapshots. *)
+     the outage. Each cell runs cold and cached; both must agree, so the
+     outage scenarios fork bit-identically from snapshots. *)
   let run_cell policy =
-    let config cached =
-      {
-        (Campaign.default_config policy Workload.auto_box) with
-        Campaign.budget_s = bench_budget;
-        prefix_cache = cached;
-        seed =
-          Campaign.cell_seed ~policy:policy.Policy.name
-            ~workload:Workload.auto_box.Workload.name ~approach:"link" ();
-      }
+    let config =
+      Campaign.cell_config ~budget_s:bench_budget policy Workload.auto_box
+        ~approach:"link"
     in
     let link_finding f =
       Scenario.has_link_loss f.Campaign.report.Report.scenario
     in
     let gate s = (0.0, Scenario.has_link_loss s) in
-    let time cached =
-      let t0 = Metrics.now_s () in
-      let result =
-        Campaign.run ~stop_when:link_finding (config cached)
-          ~strategy:(fun ctx -> Sabre.make ~gate ctx)
-      in
-      (result, Metrics.now_s () -. t0)
+    let run prefix_cache =
+      timed (fun () ->
+          Campaign.run ~stop_when:link_finding { config with prefix_cache }
+            ~strategy:(fun ctx -> Sabre.make ~gate ctx))
     in
-    let cold, cold_s = time false in
-    let cached, cached_s = time true in
-    let identical =
-      cold.Campaign.simulations = cached.Campaign.simulations
-      && Campaign.unsafe_count cold = Campaign.unsafe_count cached
-      && cold.Campaign.wall_clock_spent_s = cached.Campaign.wall_clock_spent_s
-      && List.map (fun f -> f.Campaign.simulation_index) cold.Campaign.findings
-         = List.map
-             (fun f -> f.Campaign.simulation_index)
-             cached.Campaign.findings
-    in
+    let cold, cold_s = run false in
+    let cached, cached_s = run true in
+    let digest = Campaign.result_digest config ~approach:"link" in
+    let identical = digest cold = digest cached in
     let found = List.filter link_finding cold.Campaign.findings in
     (policy, cold, found, cold_s, cached_s, identical)
   in
   let rows = Pool.map ~jobs run_cell policies in
+  identity "link_faults"
+    (List.for_all (fun (_, _, _, _, _, identical) -> identical) rows);
   let t =
     Table.create
       ~header:
@@ -1019,7 +987,7 @@ let link_faults_bench () =
           string_of_int (List.length found);
           Printf.sprintf "%.2f" cold_s;
           Printf.sprintf "%.2f" cached_s;
-          (if identical then "yes" else "NO");
+          yn identical;
         ])
     rows;
   Table.print t;
@@ -1061,11 +1029,7 @@ let link_faults_bench () =
                rows) );
       ]
   in
-  let path = "BENCH_link_faults.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n');
-  Printf.printf "wrote %s (%d cells)\n" path (List.length rows)
+  write_artefact "BENCH_link_faults.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Hot loop: allocation-free kernel vs the reference step               *)
@@ -1113,65 +1077,11 @@ let hotloop_bench () =
   let speedup = steps_per_sec /. Float.max 1e-9 baseline_steps_per_sec in
   (* Steady-state allocation of the full kernel — physics step, sensor
      tick, trace record — in minor-heap words per step. *)
-  let minor_words_per_step =
-    let w = make_world () in
-    let suite = Suite.create ~rng:(Rng.create 1) () in
-    let trace = Avis_sitl.Trace.create () in
-    let steps = ref 0 in
-    let kernel () =
-      ignore (World.step w ~motor_commands:cmds ~dt);
-      Suite.tick suite w ~dt;
-      incr steps;
-      Avis_sitl.Trace.record trace ~steps:!steps ~dt w ~mode:"Manual"
-    in
-    for _ = 1 to 2000 do kernel () done;
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 1000 do kernel () done;
-    (Gc.minor_words () -. w0) /. 1000.0
-  in
-  (* Bit-identity of the optimised kernel against the reference over a
-     profile that exercises climb, asymmetric thrust and descent, in calm
-     and windy air. *)
-  let fingerprint w =
-    let b = World.body w in
-    let p = Rigid_body.position_v b
-    and v = Rigid_body.velocity_v b
-    and q = Rigid_body.attitude_q b
-    and o = Rigid_body.angular_velocity_v b in
-    List.map Int64.bits_of_float
-      [ p.Vec3.x; p.y; p.z; v.x; v.y; v.z; q.Quat.w; q.Quat.x; q.Quat.y;
-        q.Quat.z; o.Vec3.x; o.y; o.z; World.time w ]
-  in
-  let profile i =
-    if i < 200 then Array.make 4 (hover *. 1.2)
-    else if i < 1200 then [| hover *. 1.02; hover *. 0.98; hover; hover |]
-    else Array.make 4 (hover *. 0.9)
-  in
-  let flight stepf ~windy =
-    let environment =
-      if windy then
-        Environment.create
-          ~wind:
-            (Some
-               { Environment.steady = Vec3.make 3.0 1.0 0.0;
-                 gust_stddev = 1.0; gust_correlation_s = 1.0 })
-          ()
-      else Environment.benign ()
-    in
-    let w =
-      World.create ~environment ~rng:(Rng.create 7)
-        ~position:(Vec3.make 0.0 0.0 0.0) ()
-    in
-    for i = 0 to 2999 do
-      ignore (stepf w ~motor_commands:(profile i) ~dt)
-    done;
-    fingerprint w
-  in
-  let kernel_identical =
-    List.for_all
-      (fun windy -> flight World.step ~windy = flight World.step_reference ~windy)
-      [ false; true ]
-  in
+  let minor_words_per_step = Selftest.kernel_minor_words () /. 1000.0 in
+  (* Bit-identity of the optimised kernel against the reference: the
+     selftest's DET-FP check. *)
+  let identical = (Selftest.run_check (Selftest.det_fp ())).Selftest.passed in
+  identity "hotloop" identical;
   (* Compact snapshot: exact byte size and capture/restore latency. *)
   let snap_world = make_world () in
   for _ = 1 to 500 do
@@ -1180,47 +1090,12 @@ let hotloop_bench () =
   let snap = World.snapshot snap_world in
   let snapshot_bytes = World.snapshot_bytes snap in
   let k = 20_000 in
-  let t0 = Metrics.now_s () in
-  for _ = 1 to k do
-    ignore (World.snapshot snap_world)
-  done;
-  let snapshot_ms = 1000.0 *. (Metrics.now_s () -. t0) /. float_of_int k in
-  let t0 = Metrics.now_s () in
-  for _ = 1 to k do
-    ignore (World.restore snap)
-  done;
-  let restore_ms = 1000.0 *. (Metrics.now_s () -. t0) /. float_of_int k in
-  (* End-to-end outcome identity: the same small campaign with the prefix
-     cache on and off must agree on every count. *)
-  let bench_budget = Float.min budget_s 120.0 in
-  let config cached =
-    {
-      (Campaign.default_config Policy.apm Workload.auto_box) with
-      Campaign.budget_s = bench_budget;
-      prefix_cache = cached;
-      seed =
-        Campaign.cell_seed ~policy:Policy.apm.Policy.name
-          ~workload:Workload.auto_box.Workload.name ~approach:"hotloop" ();
-    }
+  let per_call_ms f =
+    let (), s = timed (fun () -> for _ = 1 to k do f () done) in
+    1000.0 *. s /. float_of_int k
   in
-  let run cached =
-    Campaign.run (config cached) ~strategy:(fun ctx -> Sabre.make ctx)
-  in
-  let cold = run false in
-  let cached = run true in
-  let campaign_identical =
-    cold.Campaign.simulations = cached.Campaign.simulations
-    && Campaign.unsafe_count cold = Campaign.unsafe_count cached
-    && cold.Campaign.wall_clock_spent_s = cached.Campaign.wall_clock_spent_s
-    && List.map (fun f -> f.Campaign.simulation_index) cold.Campaign.findings
-       = List.map (fun f -> f.Campaign.simulation_index) cached.Campaign.findings
-  in
-  let cache_resident_bytes, cache_evictions =
-    match cached.Campaign.cache_stats with
-    | Some s -> (s.Prefix_cache.resident_bytes, s.Prefix_cache.evictions)
-    | None -> (0, 0)
-  in
-  let identical = kernel_identical && campaign_identical in
+  let snapshot_ms = per_call_ms (fun () -> ignore (World.snapshot snap_world)) in
+  let restore_ms = per_call_ms (fun () -> ignore (World.restore snap)) in
   let t =
     Table.create
       ~header:[ "metric"; "optimised"; "reference" ]
@@ -1235,13 +1110,8 @@ let hotloop_bench () =
     [ "snapshot"; Printf.sprintf "%.4f ms / %d B" snapshot_ms snapshot_bytes;
       "-" ];
   Table.add_row t [ "restore"; Printf.sprintf "%.4f ms" restore_ms; "-" ];
-  Table.add_row t
-    [ "identical"; (if identical then "yes" else "NO"); "baseline" ];
+  Table.add_row t [ "identical"; yn identical; "baseline" ];
   Table.print t;
-  Printf.printf
-    "campaign cache-on vs cache-off: %s (resident %d B, %d evictions)\n"
-    (if campaign_identical then "identical" else "DIVERGED")
-    cache_resident_bytes cache_evictions;
   let json =
     Json.Assoc
       [
@@ -1252,16 +1122,10 @@ let hotloop_bench () =
         ("snapshot_ms", Json.Number snapshot_ms);
         ("snapshot_bytes", Json.int snapshot_bytes);
         ("restore_ms", Json.Number restore_ms);
-        ("cache_resident_bytes", Json.int cache_resident_bytes);
-        ("cache_evictions", Json.int cache_evictions);
         ("identical", Json.Bool identical);
       ]
   in
-  let path = "BENCH_hotloop.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
+  write_artefact "BENCH_hotloop.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling: cost-model-guided LPT vs static shards                   *)
@@ -1274,7 +1138,8 @@ let hotloop_bench () =
    straggles. Makespans are computed by deterministic list-scheduling
    simulation over each cell's measured duration (a real parallel run's
    wall-clock would measure the CI runner's core count, not the
-   scheduler); the real runs below feed the identity check instead. *)
+   scheduler); the real pull-LPT run below feeds the identity check
+   instead. *)
 
 type sched_spec = {
   sname : string;
@@ -1304,30 +1169,17 @@ let sched_specs =
         sbudget_s = 8.5 *. short_budget_s; sbase = 1 } ]
 
 let sched_config spec =
-  {
-    (Campaign.default_config spec.spolicy Workload.quickstart) with
-    Campaign.budget_s = spec.sbudget_s;
-    seed =
-      Campaign.cell_seed ~base:spec.sbase ~policy:spec.spolicy.Policy.name
-        ~workload:Workload.quickstart.Workload.name ~approach:"random" ();
-  }
+  Campaign.cell_config ~base:spec.sbase ~budget_s:spec.sbudget_s spec.spolicy
+    Workload.quickstart ~approach:"random"
 
 let sched_label spec =
   Campaign.label_of (sched_config spec) ~approach:"random"
 
-(* The canonical journal-record bytes, elapsed normalized out (wall
-   measurements differ run to run; everything that matters — counts,
-   spent bits, findings — must not). *)
-let sched_digest spec (result : Campaign.result) =
-  let record =
-    Campaign.record_of_result (sched_config spec) ~approach:"random"
-      ~fingerprint:"sched-bench" result
-  in
-  Json.to_string
-    (Run_journal.record_to_json { record with Run_journal.elapsed_bits = None })
-
+(* Run one cell and return its result digest. *)
 let sched_run spec =
-  Campaign.run (sched_config spec) ~strategy:(fun ctx -> Random_search.make ctx)
+  let config = sched_config spec in
+  Campaign.result_digest config ~approach:"random"
+    (Campaign.run config ~strategy:(fun ctx -> Random_search.make ctx))
 
 (* Greedy list scheduling (earliest-free worker takes the next cell in
    [order]): what the pull dispatcher converges to when every cell's
@@ -1348,14 +1200,12 @@ let sched_bench () =
   section "Scheduling (pull dispatch + LPT vs static shards)";
   (* Sequential reference: measures every cell's duration (the cost
      model's training data and the simulation's ground truth) and fixes
-     the result bytes the parallel runs must reproduce. *)
+     the result bytes the parallel run must reproduce. *)
   let reference =
     List.map
       (fun spec ->
-        let t0 = Metrics.now_s () in
-        let result = sched_run spec in
-        let elapsed_s = Metrics.now_s () -. t0 in
-        (spec, sched_digest spec result, elapsed_s))
+        let digest, elapsed_s = timed (fun () -> sched_run spec) in
+        (spec, digest, elapsed_s))
       sched_specs
   in
   let cost = Cost_model.create () in
@@ -1376,16 +1226,12 @@ let sched_bench () =
   in
   (* The historical static schedule: cells round-robined into one shard
      per worker up front, each shard a sequential run. *)
-  let shards =
+  let makespan_static =
     List.init sched_workers (fun k ->
-        List.filteri (fun i _ -> i mod sched_workers = k) arrival)
+        List.filteri (fun i _ -> i mod sched_workers = k) arrival
+        |> List.fold_left (fun acc (_, d) -> acc +. d) 0.0)
+    |> List.fold_left Float.max 0.0
   in
-  let shard_sums =
-    List.map
-      (fun shard -> List.fold_left (fun acc (_, d) -> acc +. d) 0.0 shard)
-      shards
-  in
-  let makespan_static = List.fold_left Float.max 0.0 shard_sums in
   let makespan_pull_arrival, _ =
     sched_simulate ~workers:sched_workers arrival
   in
@@ -1393,55 +1239,33 @@ let sched_bench () =
   let makespan_ratio = makespan_static /. Float.max 1e-9 makespan_pull_lpt in
   let lpt_gain = makespan_pull_arrival /. Float.max 1e-9 makespan_pull_lpt in
   let speedup_ok = makespan_ratio >= 1.5 in
-  (* Identity: the same cells through a real static-shard run and a real
-     pull-order (LPT) run must reproduce the sequential bytes exactly —
-     scheduling must never touch results. *)
-  let digests_of run_name results =
-    List.map2
-      (fun (spec, want, _) got ->
-        let ok = got = want in
-        if not ok then
-          Printf.eprintf "[bench] sched: %s diverged on %s\n%!" run_name
-            spec.sname;
-        ok)
-      reference results
-  in
-  let static_results =
-    Pool.map ~jobs:sched_workers
-      (fun shard -> List.map (fun (spec, _) -> sched_digest spec (sched_run spec)) shard)
-      shards
-    |> List.concat
-  in
-  (* Shards permute the cells; compare by name against the reference. *)
-  let static_by_ref =
-    let shard_specs = List.concat shards in
-    List.map
-      (fun (spec, _, _) ->
-        let rec find = function
-          | [] -> ""
-          | ((s, _), digest) :: rest ->
-            if s.sname = spec.sname then digest else find rest
-        in
-        find (List.combine shard_specs static_results))
-      reference
-  in
+  (* Identity: the same cells through a real pull-order (LPT) run must
+     reproduce the sequential bytes exactly — scheduling must never touch
+     results. *)
   let lpt_results =
     Pool.map_lpt ~jobs:sched_workers ~weight:(fun (spec, _) -> weight spec)
-      (fun (spec, _) -> sched_digest spec (sched_run spec))
+      (fun (spec, _) -> sched_run spec)
       arrival
   in
   let identical =
-    List.for_all Fun.id (digests_of "static-shard run" static_by_ref)
-    && List.for_all Fun.id (digests_of "pull-LPT run" lpt_results)
+    List.for_all2
+      (fun (spec, want, _) got ->
+        let ok = got = want in
+        if not ok then
+          Printf.eprintf "[bench] sched: pull-LPT run diverged on %s\n%!"
+            spec.sname;
+        ok)
+      reference lpt_results
   in
+  identity "sched" identical;
   let total_busy = Array.fold_left ( +. ) 0.0 busy in
   Printf.printf
     "13 cells (12 short + 1 long), %d workers\n\
-     static shards, arrival order: makespan %.2f s\n\
+     static shards, arrival order: makespan %.2f s (simulated)\n\
      pull dispatch, arrival order: makespan %.2f s\n\
      pull dispatch, LPT order:     makespan %.2f s\n\
      static/LPT ratio %.2fx (gate >= 1.5x: %s), LPT/arrival gain %.2fx\n\
-     results identical across schedules: %b\n"
+     pull-LPT results identical to sequential: %b\n"
     sched_workers makespan_static makespan_pull_arrival makespan_pull_lpt
     makespan_ratio
     (if speedup_ok then "ok" else "MISSED")
@@ -1482,11 +1306,7 @@ let sched_bench () =
         ("identical", Json.Bool identical);
       ]
   in
-  let path = "BENCH_sched.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
+  write_artefact "BENCH_sched.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Simulator characteristics (the paper's slowdown discussion)          *)
@@ -1502,9 +1322,7 @@ let simulator_stats () =
     (float_of_int golden.Avis_sitl.Sim.sensor_reads /. golden.Avis_sitl.Sim.duration)
     (List.length golden.Avis_sitl.Sim.transitions);
   (* Monotonic: a wall-clock step (NTP, DST) must not skew the ratio. *)
-  let t0 = Metrics.now_s () in
-  ignore (run_auto_box Policy.apm ~enabled:[] ~plan:[]);
-  let real = Metrics.now_s () -. t0 in
+  let _, real = timed (fun () -> run_auto_box Policy.apm ~enabled:[] ~plan:[]) in
   Printf.printf "real-time speed-up on this machine: %.0fx\n"
     (golden.Avis_sitl.Sim.duration /. real)
 
@@ -1667,4 +1485,10 @@ let () =
       trace_path (Trace.event_count ());
     print_string (Table.render (Trace.summary_table ()));
     print_newline ()
-  end
+  end;
+  match List.rev !diverged with
+  | [] -> ()
+  | sections ->
+    Printf.eprintf "avis_bench: results diverged across code paths in: %s\n"
+      (String.concat ", " sections);
+    exit 1

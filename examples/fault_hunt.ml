@@ -22,15 +22,7 @@ let approaches =
   ]
 
 let hunt (name, strategy) =
-  let config =
-    {
-      (Campaign.default_config policy workload) with
-      Campaign.budget_s;
-      seed =
-        Campaign.cell_seed ~policy:policy.Avis_firmware.Policy.name
-          ~workload:workload.Workload.name ~approach:name ();
-    }
-  in
+  let config = Campaign.cell_config ~budget_s policy workload ~approach:name in
   let run = Campaign.run_cell config ~approach:name ~strategy in
   Metrics.emit ~event:run.Campaign.event run.Campaign.snapshot;
   (name, run)

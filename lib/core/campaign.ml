@@ -298,6 +298,11 @@ let record_of_result ?elapsed_s (config : config) ~approach ~fingerprint
     findings = List.map journal_finding result.findings;
   }
 
+let result_digest config ~approach result =
+  Avis_util.Json.to_string
+    (Run_journal.record_to_json
+       (record_of_result config ~approach ~fingerprint:"result-digest" result))
+
 (* Ignored, kept so existing callers compile: campaigns always run one
    scenario at a time. *)
 let lanes_of_env () = 1
@@ -500,9 +505,8 @@ let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
     | None -> deadline_of_budget config.budget_s
   in
   let label =
-    Printf.sprintf "%s/%s/%s"
-      (match journal_approach with Some a -> a | None -> "campaign")
-      config.policy.Policy.name config.workload.Workload.name
+    label_of config
+      ~approach:(Option.value journal_approach ~default:"campaign")
   in
   with_retries ~supervision ~label (fun ~attempt:_ ->
       run ?stop_when ?progress ?cache ~deadline_s ?journal
@@ -620,6 +624,15 @@ let cell_seed ?(base = 1) ~policy ~workload ~approach () =
       h := Int64.mul !h 0x100000001b3L)
     (Printf.sprintf "%d|%s|%s|%s" base policy workload approach);
   Int64.to_int (Int64.logand !h 0x3FFFFFFFL)
+
+let cell_config ?base ~budget_s policy workload ~approach =
+  {
+    (default_config policy workload) with
+    budget_s;
+    seed =
+      cell_seed ?base ~policy:policy.Policy.name
+        ~workload:workload.Workload.name ~approach ();
+  }
 
 let unsafe_count result = List.length result.findings
 

@@ -265,6 +265,12 @@ val record_of_result :
     [elapsed_s] is the cell's measured wall-clock duration (the cost
     model's training signal); omitted, the record carries no duration. *)
 
+val result_digest : config -> approach:string -> result -> string
+(** What "same result" means: {!record_of_result}'s JSON under a fixed
+    fingerprint and with no duration — a journal memo's bytes less its
+    [elapsed_bits]. {!journal_identity} omits [prefix_cache], so a cold
+    and a cached run of one cell have one digest. *)
+
 val lanes_of_env : unit -> int
 (** Always 1, without reading the environment; kept so existing callers compile. *)
 
@@ -275,6 +281,13 @@ val cell_seed :
     (default 1). Both the sequential and the parallel matrix runners use
     this, so a cell's campaign is identical no matter where or in what
     order it executes. *)
+
+val cell_config :
+  ?base:int -> budget_s:float -> Policy.t -> Workload.t -> approach:string ->
+  config
+(** A campaign-matrix cell's config: {!default_config} with [budget_s] and
+    the {!cell_seed} of the cell's labels — the one builder, so a cell has
+    one journal key wherever it runs. *)
 
 val unsafe_count : result -> int
 

@@ -17,10 +17,9 @@ type check = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Shared flight fixtures, mirroring the hot-loop bench: a             *)
-(* climb / asymmetric-cruise / descend profile flown in calm and       *)
-(* windy air, fingerprinted by the IEEE bits of the full rigid-body    *)
-(* state.                                                              *)
+(* Shared flight fixtures, used by the hot-loop bench: a climb /      *)
+(* asymmetric-cruise / descend profile flown in calm and windy air,   *)
+(* fingerprinted by the IEEE bits of the full rigid-body state.       *)
 (* ------------------------------------------------------------------ *)
 
 let dt = 0.004
@@ -245,18 +244,8 @@ let mini_campaign ?(seed = 1) ~cached () =
       seed;
     }
   in
-  Campaign.run config ~strategy:(fun ctx -> Sabre.make ctx)
-
-let campaign_fingerprint (r : Campaign.result) =
-  Printf.sprintf "sims=%d infs=%d spent_bits=%Lx findings=[%s]"
-    r.Campaign.simulations r.Campaign.inferences
-    (Int64.bits_of_float r.Campaign.wall_clock_spent_s)
-    (String.concat ";"
-       (List.map
-          (fun (f : Campaign.finding) ->
-            Printf.sprintf "%d@%s" f.Campaign.simulation_index
-              (Digest.to_hex (Digest.string (Report.describe f.Campaign.report))))
-          r.Campaign.findings))
+  let result = Campaign.run config ~strategy:(fun ctx -> Sabre.make ctx) in
+  (Campaign.result_digest config ~approach:"selftest" result, result)
 
 let cache_id () =
   {
@@ -264,16 +253,15 @@ let cache_id () =
     name = "mini campaign: prefix cache on vs off, identical outcomes";
     run =
       (fun () ->
-        let cold = mini_campaign ~cached:false () in
-        let cached = mini_campaign ~cached:true () in
-        let a = campaign_fingerprint cold and b = campaign_fingerprint cached in
+        let a, cold = mini_campaign ~cached:false () in
+        let b, _ = mini_campaign ~cached:true () in
         if a <> b then
           Error (Printf.sprintf "cached campaign diverged: cold %s, cached %s" a b)
         else
           Ok
             (Printf.sprintf
-               "%d simulations, %d findings: counts, ledger bits and finding \
-                indices identical"
+               "%d simulations, %d findings: counts, ledger bits and findings \
+                identical"
                cold.Campaign.simulations
                (Campaign.unsafe_count cold)));
   }
@@ -320,27 +308,30 @@ let pool_sane () =
           end);
   }
 
+let kernel_minor_words () =
+  let w = World.create ~position:(Vec3.make 0.0 0.0 100.0) () in
+  let suite = Avis_sensors.Suite.create ~rng:(Avis_util.Rng.create 1) () in
+  let trace = Avis_sitl.Trace.create () in
+  let cmds = Array.make 4 hover in
+  let steps = ref 0 in
+  let kernel () =
+    ignore (World.step w ~motor_commands:cmds ~dt);
+    Avis_sensors.Suite.tick suite w ~dt;
+    incr steps;
+    Avis_sitl.Trace.record trace ~steps:!steps ~dt w ~mode:"Manual"
+  in
+  for _ = 1 to 2000 do kernel () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do kernel () done;
+  Gc.minor_words () -. w0
+
 let alloc_0 () =
   {
     code = "ALLOC-0";
     name = "step/sense/record hot loop allocates no minor words";
     run =
       (fun () ->
-        let w = World.create ~position:(Vec3.make 0.0 0.0 100.0) () in
-        let suite = Avis_sensors.Suite.create ~rng:(Avis_util.Rng.create 1) () in
-        let trace = Avis_sitl.Trace.create () in
-        let cmds = Array.make 4 hover in
-        let steps = ref 0 in
-        let kernel () =
-          ignore (World.step w ~motor_commands:cmds ~dt);
-          Avis_sensors.Suite.tick suite w ~dt;
-          incr steps;
-          Avis_sitl.Trace.record trace ~steps:!steps ~dt w ~mode:"Manual"
-        in
-        for _ = 1 to 2000 do kernel () done;
-        let w0 = Gc.minor_words () in
-        for _ = 1 to 1000 do kernel () done;
-        let allocated = Gc.minor_words () -. w0 in
+        let allocated = kernel_minor_words () in
         (* [Gc.minor_words] itself boxes its result, hence the slack —
            the same 64-word bound the physics regression test uses. *)
         if allocated < 64.0 then
@@ -417,7 +408,7 @@ let soak ?iterations ?(progress = fun (_ : int) -> ()) ~minutes () =
   let i = ref 0 in
   while keep_going !i do
     let seed = List.nth soak_seeds (!i mod List.length soak_seeds) in
-    let fp = campaign_fingerprint (mini_campaign ~seed ~cached:true ()) in
+    let fp, _ = mini_campaign ~seed ~cached:true () in
     (match Hashtbl.find_opt seen seed with
     | None -> Hashtbl.replace seen seed fp
     | Some prior when prior = fp -> ()

@@ -18,7 +18,7 @@
     - [STORE-RW] — checkpoint store in a temp dir: write/read round-trip,
       corrupt-file detection, stale-fingerprint isolation;
     - [CACHE-ID] — a mini campaign with the prefix cache on vs off:
-      identical counts, ledger bits and finding indices;
+      identical {!Campaign.result_digest}s;
     - [POOL-SANE] — domain pool: ordered [map], exception propagation,
       idempotent close, closed-pool submission rejected;
     - [ALLOC-0] — the step/sense/record hot loop allocates no minor-heap
@@ -56,6 +56,11 @@ val det_fp :
     (default {!Avis_physics.World.step}) — tests inject a perturbed
     stepper to force the failure path. *)
 
+val kernel_minor_words : unit -> float
+(** The [ALLOC-0] fixture: minor-heap words the step/sense/record hot
+    loop allocates over 1000 steady-hover steps, after 2000 warm-up
+    steps. *)
+
 val store_rw : ?dir:string -> unit -> check
 (** The [STORE-RW] check. [dir] overrides the store directory (default a
     fresh temp dir, removed afterwards) — tests pass an unusable path to
@@ -77,9 +82,9 @@ val table : report list -> Avis_util.Table.t
 
 (** {2 Soak mode}
 
-    Loops a small fixed campaign under a rotating seed and fingerprints
-    each iteration's outcome (simulation and inference counts, the spent
-    ledger's bits, every finding's index and description). Any mismatch
+    Loops a small fixed campaign under a rotating seed and digests each
+    iteration's outcome ({!Campaign.result_digest}: simulation and
+    inference counts, the spent ledger's bits, every finding). Any mismatch
     between two iterations with the same seed is {e drift} — the
     determinism contract broken by thermal throttling, a flaky allocator,
     cosmic rays, or a real bug — and is reported per occurrence. *)

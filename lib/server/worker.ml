@@ -60,17 +60,9 @@ let cells_of_request (r : Wire.hunt_request) =
                    "unknown approach %S (avis|strat-bfi|bfi|random|dfs|bfs)"
                    name)
             | Some strategy ->
-              (* The one config builder for `hunt` and the daemon:
-                 byte-identical journal keys depend on it. *)
               let config =
-                {
-                  (Campaign.default_config policy workload) with
-                  Campaign.budget_s = r.budget_s;
-                  seed =
-                    Campaign.cell_seed ~base:r.seed
-                      ~policy:policy.Avis_firmware.Policy.name
-                      ~workload:workload.Workload.name ~approach:name ();
-                }
+                Campaign.cell_config ~base:r.seed ~budget_s:r.budget_s policy
+                  workload ~approach:name
               in
               let label = Campaign.label_of config ~approach:name in
               build ({ approach = name; config; strategy; label } :: acc) rest)

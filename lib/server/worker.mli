@@ -34,8 +34,8 @@ val display_name : string -> string
 
 val cells_of_request : Wire.hunt_request -> (cell list, string) result
 (** Validate and expand a request into one cell per approach:
-    {!Campaign.default_config} with the request's budget and a
-    {!Campaign.cell_seed} per cell. [avis_cli hunt] builds its cells here
+    {!Campaign.cell_config} with the request's budget and seed as the
+    base. [avis_cli hunt] builds its cells here
     too, which is what makes daemon results byte-comparable to
     in-process runs. *)
 

@@ -410,6 +410,72 @@ let test_bugstudy_symptom_breakdown_sums () =
   in
   Alcotest.(check int) "breakdown covers all" 44 total_sensor
 
+(* Result digest: what every identity check in the project compares. *)
+
+let test_result_digest () =
+  let config =
+    {
+      (Campaign.default_config Avis_firmware.Policy.apm Workload.quickstart) with
+      Campaign.budget_s = 120.0;
+    }
+  in
+  let approach = "Avis" in
+  let digest = Campaign.result_digest config ~approach in
+  let strategy ctx = Sabre.make ctx in
+  let path = Filename.temp_file "avis-digest" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let journal = Run_journal.open_ path in
+  let cold =
+    Campaign.run ~journal ~journal_approach:approach
+      { config with Campaign.prefix_cache = false } ~strategy
+  in
+  let cached =
+    Campaign.run { config with Campaign.prefix_cache = true } ~strategy
+  in
+  Alcotest.(check string) "cold = cached" (digest cold) (digest cached);
+  Alcotest.(check bool) "inferences count" true
+    (digest cold
+    <> digest { cold with Campaign.inferences = cold.Campaign.inferences + 1 });
+  (match cold.Campaign.findings with
+  | [] -> Alcotest.fail "fixture campaign recorded no finding"
+  | f :: rest ->
+    let report = { f.Campaign.report with Report.injection_mode = "Elsewhere" } in
+    Alcotest.(check bool) "finding description counts" true
+      (digest cold
+      <> digest
+           { cold with Campaign.findings = { f with Campaign.report } :: rest }));
+  (* Measurements stay out: GC and cache counters, and the journal's
+     elapsed_bits — the digest is the memo's bytes less its duration. *)
+  Alcotest.(check string) "GC and cache counters ignored" (digest cold)
+    (digest
+       {
+         cold with
+         Campaign.minor_words = 0.0;
+         major_collections = 7;
+         cache_stats = None;
+       });
+  let parsed =
+    match Avis_util.Json.of_string (digest cold) with
+    | Ok j -> Option.get (Run_journal.record_of_json j)
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "no elapsed_bits" true
+    (parsed.Run_journal.elapsed_bits = None);
+  match Campaign.journal_memo journal config ~approach with
+  | None -> Alcotest.fail "cold run journaled no memo"
+  | Some memo ->
+    Alcotest.(check bool) "memo carries elapsed_bits" true
+      (memo.Run_journal.elapsed_bits <> None);
+    Alcotest.(check string) "memo bytes less elapsed_s" (digest cold)
+      (Avis_util.Json.to_string
+         (Run_journal.record_to_json
+            {
+              memo with
+              Run_journal.key = parsed.Run_journal.key;
+              elapsed_bits = None;
+            }))
+
 let q = QCheck_alcotest.to_alcotest
 
 let () =
@@ -464,6 +530,8 @@ let () =
           Alcotest.test_case "rejects malformed" `Quick test_fault_spec_rejects;
           q test_fault_spec_roundtrip_qcheck;
         ] );
+      ( "digest",
+        [ Alcotest.test_case "what counts as same" `Slow test_result_digest ] );
       ( "bug study",
         [
           Alcotest.test_case "totals" `Quick test_bugstudy_totals;

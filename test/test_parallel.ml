@@ -385,9 +385,9 @@ let perm_config (name, _, base) =
         ~workload:Workload.quickstart.Workload.name ~approach:name ();
   }
 
-(* elapsed_bits is the one informational field allowed to differ between
-   runs (measured wall time); everything else must match to the byte. *)
-let perm_record_bytes record =
+(* A served memo's bytes less elapsed_bits, the one informational field
+   allowed to differ between runs (measured wall time). *)
+let perm_memo_bytes record =
   Json.to_string
     (Run_journal.record_to_json { record with Run_journal.elapsed_bits = None })
 
@@ -404,10 +404,7 @@ let perm_run order =
         let result =
           Campaign.run ~journal ~journal_approach:name config ~strategy
         in
-        ( i,
-          perm_record_bytes
-            (Campaign.record_of_result config ~approach:name
-               ~fingerprint:"perm" result) ))
+        (i, Campaign.result_digest config ~approach:name result))
       order
   in
   (* Reopen the journal as a reader: the records it serves back must be
@@ -417,7 +414,7 @@ let perm_run order =
     List.mapi
       (fun i ((name, _, _) as spec) ->
         match Campaign.journal_memo reader (perm_config spec) ~approach:name with
-        | Some record -> (i, perm_record_bytes record)
+        | Some record -> (i, perm_memo_bytes record)
         | None -> (i, "missing"))
       perm_specs
   in

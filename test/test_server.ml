@@ -305,6 +305,52 @@ let test_cells_of_request () =
           = Int64.bits_of_float sample_request.Wire.budget_s))
       sample_request.Wire.approaches cells
 
+(* Journal keys are pinned: the configs built before [Campaign.cell_config]
+   existed — a literal [default_config] update — must keep hashing to the
+   same journal identity, or existing journals stop memo-serving. *)
+let test_journal_keys_pinned () =
+  let legacy ?(base = 1) ~budget_s policy workload ~approach =
+    {
+      (Campaign.default_config policy workload) with
+      Campaign.budget_s;
+      seed =
+        Campaign.cell_seed ~base ~policy:policy.Avis_firmware.Policy.name
+          ~workload:workload.Workload.name ~approach ();
+    }
+  in
+  let same msg a b ~approach =
+    Alcotest.(check string) msg
+      (Campaign.journal_identity a ~approach)
+      (Campaign.journal_identity b ~approach)
+  in
+  (match Worker.cells_of_request sample_request with
+  | Error e -> Alcotest.failf "valid request rejected: %s" e
+  | Ok cells ->
+    List.iter
+      (fun (cell : Worker.cell) ->
+        let approach = cell.Worker.approach in
+        let policy = Avis_firmware.Policy.apm
+        and workload = Workload.quickstart
+        and budget_s = sample_request.Wire.budget_s in
+        same "request cell = cell_config" cell.Worker.config ~approach
+          (Campaign.cell_config ~base:42 ~budget_s policy workload ~approach);
+        same "request cell = legacy literal" cell.Worker.config ~approach
+          (legacy ~base:42 ~budget_s policy workload ~approach))
+      cells);
+  (* The bench matrix (AVIS_JOURNAL): default base seed, bench labels. *)
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun workload ->
+          List.iter
+            (fun approach ->
+              same "matrix cell = legacy literal" ~approach
+                (Campaign.cell_config ~budget_s:30.0 policy workload ~approach)
+                (legacy ~budget_s:30.0 policy workload ~approach))
+            [ "Avis"; "Strat. BFI"; "BFI"; "Random" ])
+        [ Workload.manual_box; Workload.auto_box ])
+    [ Avis_firmware.Policy.apm; Avis_firmware.Policy.px4 ]
+
 let test_cells_of_request_rejects () =
   let expect_error label r =
     match Worker.cells_of_request r with
@@ -500,6 +546,8 @@ let () =
         [
           Alcotest.test_case "cells mirror hunt's configs" `Quick
             test_cells_of_request;
+          Alcotest.test_case "journal keys pinned" `Quick
+            test_journal_keys_pinned;
           Alcotest.test_case "invalid requests rejected" `Quick
             test_cells_of_request_rejects;
           Alcotest.test_case "assignments rebuild request configs" `Quick

@@ -244,25 +244,18 @@ let test_prefix_cache_eviction_bounded () =
     (s.Prefix_cache.evictions > 0)
 
 let test_campaign_cache_transparent () =
-  let base = Campaign.default_config Policy.apm Workload.auto_box in
-  let run cached =
-    Campaign.run
-      { base with Campaign.budget_s = 200.0; prefix_cache = cached }
-      ~strategy:(fun ctx -> Sabre.make ctx)
+  let config =
+    {
+      (Campaign.default_config Policy.apm Workload.auto_box) with
+      Campaign.budget_s = 200.0;
+    }
   in
-  let off = run false in
-  let on = run true in
-  Alcotest.(check int) "same simulations" off.Campaign.simulations
-    on.Campaign.simulations;
-  Alcotest.(check int) "same findings" (Campaign.unsafe_count off)
-    (Campaign.unsafe_count on);
-  Alcotest.(check (float 1e-9)) "same budget spent" off.Campaign.wall_clock_spent_s
-    on.Campaign.wall_clock_spent_s;
-  Alcotest.(check bool) "same finding indices" true
-    (List.map
-       (fun f -> f.Campaign.simulation_index)
-       off.Campaign.findings
-    = List.map (fun f -> f.Campaign.simulation_index) on.Campaign.findings)
+  let run prefix_cache =
+    Campaign.run { config with prefix_cache } ~strategy:(fun ctx -> Sabre.make ctx)
+  in
+  let digest = Campaign.result_digest config ~approach:"Avis" in
+  Alcotest.(check string) "same result digest" (digest (run false))
+    (digest (run true))
 
 (* A campaign replayed with a shared cache forks every scenario from its
    last checkpoint; the result must still be identical to the cold run. *)
@@ -280,15 +273,8 @@ let test_campaign_replay_identical () =
   let cache = Campaign.make_cache config in
   let first = Campaign.run ~cache config ~strategy in
   let replay = Campaign.run ~cache config ~strategy in
-  let check msg (a : Campaign.result) (b : Campaign.result) =
-    Alcotest.(check bool)
-      msg true
-      (a.Campaign.simulations = b.Campaign.simulations
-      && Campaign.unsafe_count a = Campaign.unsafe_count b
-      && a.Campaign.wall_clock_spent_s = b.Campaign.wall_clock_spent_s
-      && List.map (fun f -> f.Campaign.simulation_index) a.Campaign.findings
-         = List.map (fun f -> f.Campaign.simulation_index) b.Campaign.findings)
-  in
+  let digest = Campaign.result_digest config ~approach:"Avis" in
+  let check msg a b = Alcotest.(check string) msg (digest a) (digest b) in
   check "shared-cache first run = cold" cold first;
   check "shared-cache replay = cold" cold replay;
   (* The replay really was served from snapshots: every scenario hit. *)
