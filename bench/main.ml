@@ -1,6 +1,7 @@
 (* The reproduction harness: regenerates every table and figure of the
-   paper's evaluation (§III and §VI), the design-choice ablations called
-   out in DESIGN.md, and a bechamel micro-benchmark suite.
+   paper's evaluation (§III and §VI) and the design-choice ablations
+   called out in DESIGN.md. Performance is measured by the benchmark in
+   perfbench/ (see BENCHMARK.json), not here.
 
    The campaign budget defaults to 7200 s of modelled wall-clock per
    approach; set AVIS_BUDGET=7200 for the paper's full two hours (the
@@ -35,27 +36,6 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let subsection title = Printf.printf "\n--- %s ---\n" title
-
-let yn b = if b then "yes" else "NO"
-
-(* [f ()] and its wall-clock seconds on the monotonic clock. *)
-let timed f =
-  let t0 = Metrics.now_s () in
-  let v = f () in
-  (v, Metrics.now_s () -. t0)
-
-let write_artefact path json =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
-
-(* Every engineering section checks that its code paths agree on each
-   cell's result; a section that saw a divergence is named here and the
-   bench exits 1. *)
-let diverged = ref []
-
-let identity section ok = if not ok then diverged := section :: !diverged
 
 (* ------------------------------------------------------------------ *)
 (* Campaign matrix: run once, reused by Tables II, III and IV.         *)
@@ -721,594 +701,6 @@ let ablation_replay () =
       relative_ok (List.length seeds) absolute_ok (List.length seeds)
 
 (* ------------------------------------------------------------------ *)
-(* Prefix cache: cold vs cached campaign wall-clock                     *)
-(* ------------------------------------------------------------------ *)
-
-let prefix_cache_bench () =
-  section "Prefix cache: cold vs cached campaign wall-clock";
-  let bench_budget = Float.min budget_s 900.0 in
-  let bench_workloads =
-    [ Workload.quickstart; Workload.manual_box; Workload.auto_box ]
-  in
-  let specs =
-    List.concat_map
-      (fun policy ->
-        List.concat_map
-          (fun workload ->
-            List.map (fun approach -> (policy, workload, approach)) approaches)
-          bench_workloads)
-      policies
-  in
-  (* Three campaigns per cell, back to back on the same domain so their
-     wall-clock ratios are insulated from pool scheduling: cold (no cache),
-     cached (fresh cache — the first-run win comes from forking scenarios
-     off the clean run and off earlier scenarios' faulty prefixes), and
-     replay (same cache again — the regression-re-run / finding-reproduction
-     path, where every scenario forks from its last checkpoint and only the
-     tail is simulated). All three must produce identical results. *)
-  let run_cell (policy, workload, (name, strategy)) =
-    let config =
-      Campaign.cell_config ~budget_s:bench_budget policy workload ~approach:name
-    in
-    let run ?cache prefix_cache =
-      timed (fun () -> Campaign.run ?cache { config with prefix_cache } ~strategy)
-    in
-    let cold, cold_s = run false in
-    let cache = Campaign.make_cache config in
-    let cached, cached_s = run ~cache true in
-    let replay, replay_s = run ~cache true in
-    let digest = Campaign.result_digest config ~approach:name in
-    let identical =
-      digest cold = digest cached && digest cold = digest replay
-    in
-    (policy, workload, name, cold, cached, cold_s, cached_s, replay_s, identical)
-  in
-  let rows = Pool.map ~jobs run_cell specs in
-  identity "prefix_cache"
-    (List.for_all (fun (_, _, _, _, _, _, _, _, identical) -> identical) rows);
-  let speedup cold_s s = cold_s /. Float.max 1e-9 s in
-  let t =
-    Table.create
-      ~header:
-        [ "Approach"; "Firmware"; "Workload"; "cold (s)"; "cached (s)";
-          "speedup"; "replay (s)"; "speedup"; "identical" ]
-  in
-  List.iter
-    (fun (policy, workload, name, _, _, cold_s, cached_s, replay_s, identical) ->
-      Table.add_row t
-        [
-          name; policy.Policy.name; workload.Workload.name;
-          Printf.sprintf "%.2f" cold_s;
-          Printf.sprintf "%.2f" cached_s;
-          Printf.sprintf "%.1fx" (speedup cold_s cached_s);
-          Printf.sprintf "%.2f" replay_s;
-          Printf.sprintf "%.1fx" (speedup cold_s replay_s);
-          yn identical;
-        ])
-    rows;
-  Table.print t;
-  List.iter
-    (fun (policy, workload, name, _, _, cold_s, cached_s, replay_s, _) ->
-      if
-        name = "Avis"
-        && workload.Workload.name = Workload.quickstart.Workload.name
-      then
-        Printf.printf
-          "SABRE quickstart (%s): first run %.1fx, campaign replay %.1fx\n"
-          policy.Policy.name
-          (speedup cold_s cached_s)
-          (speedup cold_s replay_s))
-    rows;
-  let json =
-    Json.Assoc
-      [
-        ("budget_s", Json.Number bench_budget);
-        ( "cells",
-          Json.List
-            (List.map
-               (fun ( policy, workload, name, cold, cached,
-                      cold_s, cached_s, replay_s, identical ) ->
-                 let stats =
-                   match cached.Campaign.cache_stats with
-                   | None -> []
-                   | Some s ->
-                     [
-                       ("cache_hits", Json.int s.Prefix_cache.hits);
-                       ("cache_misses", Json.int s.Prefix_cache.misses);
-                       ("saved_sim_s", Json.Number s.Prefix_cache.saved_sim_s);
-                       ( "cache_resident_bytes",
-                         Json.int s.Prefix_cache.resident_bytes );
-                       ("cache_evictions", Json.int s.Prefix_cache.evictions);
-                     ]
-                 in
-                 Json.Assoc
-                   ([
-                      ("approach", Json.String name);
-                      ("firmware", Json.String policy.Policy.name);
-                      ("workload", Json.String workload.Workload.name);
-                      ("cold_wall_s", Json.Number cold_s);
-                      ("cached_wall_s", Json.Number cached_s);
-                      ("speedup", Json.Number (speedup cold_s cached_s));
-                      ("replay_wall_s", Json.Number replay_s);
-                      ("replay_speedup", Json.Number (speedup cold_s replay_s));
-                      ("simulations", Json.int cold.Campaign.simulations);
-                      ("findings", Json.int (Campaign.unsafe_count cold));
-                      ("identical", Json.Bool identical);
-                    ]
-                   @ stats))
-               rows) );
-      ]
-  in
-  write_artefact "BENCH_prefix_cache.json" json
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint store: cold vs warm-process campaign wall-clock           *)
-(* ------------------------------------------------------------------ *)
-
-let store_bench () =
-  section "Checkpoint store: cold vs warm-process campaign wall-clock";
-  let bench_budget = Float.min budget_s 300.0 in
-  let policy = Policy.apm and workload = Workload.quickstart in
-  let name, strategy = List.hd approaches in
-  let store_dir =
-    match Sys.getenv_opt "AVIS_STORE_DIR" with
-    | Some d when d <> "" -> d
-    | _ -> Filename.concat (Filename.get_temp_dir_name ()) "avis-bench-store"
-  in
-  (* Did a previous *process* leave checkpoints behind? When CI runs this
-     section twice against one store dir, the second pass must start warm
-     and be served from disk. *)
-  let warm_start =
-    Sys.file_exists store_dir
-    && (try
-          Array.exists
-            (fun f -> Filename.check_suffix f ".ckpt")
-            (Sys.readdir store_dir)
-        with Sys_error _ -> false)
-  in
-  let config =
-    Campaign.cell_config ~budget_s:bench_budget policy workload ~approach:name
-  in
-  let run ?cache prefix_cache =
-    timed (fun () -> Campaign.run ?cache { config with prefix_cache } ~strategy)
-  in
-  (* Three campaigns: cold (no cache, no store), then two with *fresh*
-     prefix-cache instances sharing the store directory. The second
-     instance starts with empty memory, so everything it restores comes
-     off disk — the same path a brand-new process takes. *)
-  let cold, cold_s = run false in
-  let first, first_s = run ~cache:(Campaign.make_cache ~store_dir config) true in
-  let second, second_s = run ~cache:(Campaign.make_cache ~store_dir config) true in
-  let digest = Campaign.result_digest config ~approach:name in
-  let first_identical = digest first = digest cold in
-  let second_identical = digest second = digest cold in
-  let identical = first_identical && second_identical in
-  identity "store" identical;
-  let store_counters (r : Campaign.result) =
-    match r.Campaign.cache_stats with
-    | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-    | None -> (0, 0, 0)
-  in
-  let first_hits, first_misses, _ = store_counters first in
-  let second_hits, second_misses, store_bytes = store_counters second in
-  let t =
-    Table.create
-      ~header:
-        [ "campaign"; "wall (s)"; "store hits"; "store miss"; "identical" ]
-  in
-  Table.add_row t [ "cold (store off)"; Printf.sprintf "%.2f" cold_s; "-"; "-"; "-" ];
-  Table.add_row t
-    [ "first instance"; Printf.sprintf "%.2f" first_s;
-      string_of_int first_hits; string_of_int first_misses;
-      yn first_identical ];
-  Table.add_row t
-    [ "second instance"; Printf.sprintf "%.2f" second_s;
-      string_of_int second_hits; string_of_int second_misses;
-      yn second_identical ];
-  Table.print t;
-  Printf.printf
-    "store dir %s: %d bytes, warm start %s, second instance served %s\n"
-    store_dir store_bytes (yn warm_start) (yn (second_hits > 0));
-  let json =
-    Json.Assoc
-      [
-        ("budget_s", Json.Number bench_budget);
-        ("approach", Json.String name);
-        ("firmware", Json.String policy.Policy.name);
-        ("workload", Json.String workload.Workload.name);
-        ("store_dir", Json.String store_dir);
-        ("warm_start", Json.Bool warm_start);
-        ("cold_wall_s", Json.Number cold_s);
-        ("first_wall_s", Json.Number first_s);
-        ("second_wall_s", Json.Number second_s);
-        ("first_store_hits", Json.int first_hits);
-        ("first_store_misses", Json.int first_misses);
-        ("second_store_hits", Json.int second_hits);
-        ("second_store_misses", Json.int second_misses);
-        ("store_bytes", Json.int store_bytes);
-        ("store_served", Json.Bool (second_hits > 0));
-        ("simulations", Json.int cold.Campaign.simulations);
-        ("findings", Json.int (Campaign.unsafe_count cold));
-        ("identical", Json.Bool identical);
-      ]
-  in
-  write_artefact "BENCH_store.json" json
-
-(* ------------------------------------------------------------------ *)
-(* Link faults: campaigns over the link-outage scenario space           *)
-(* ------------------------------------------------------------------ *)
-
-let link_faults_bench () =
-  section "Link faults: GCS-loss findings per personality";
-  let bench_budget = budget_s in
-  (* One cell per personality: a SABRE campaign restricted (via the gate)
-     to the link-outage scenario space — outages at mode boundaries plus
-     the sensor faults SABRE composes onto the failsafe transitions those
-     outages induce — stopped at the first finding whose scenario includes
-     the outage. Each cell runs cold and cached; both must agree, so the
-     outage scenarios fork bit-identically from snapshots. *)
-  let run_cell policy =
-    let config =
-      Campaign.cell_config ~budget_s:bench_budget policy Workload.auto_box
-        ~approach:"link"
-    in
-    let link_finding f =
-      Scenario.has_link_loss f.Campaign.report.Report.scenario
-    in
-    let gate s = (0.0, Scenario.has_link_loss s) in
-    let run prefix_cache =
-      timed (fun () ->
-          Campaign.run ~stop_when:link_finding { config with prefix_cache }
-            ~strategy:(fun ctx -> Sabre.make ~gate ctx))
-    in
-    let cold, cold_s = run false in
-    let cached, cached_s = run true in
-    let digest = Campaign.result_digest config ~approach:"link" in
-    let identical = digest cold = digest cached in
-    let found = List.filter link_finding cold.Campaign.findings in
-    (policy, cold, found, cold_s, cached_s, identical)
-  in
-  let rows = Pool.map ~jobs run_cell policies in
-  identity "link_faults"
-    (List.for_all (fun (_, _, _, _, _, identical) -> identical) rows);
-  let t =
-    Table.create
-      ~header:
-        [ "Firmware"; "sims"; "findings"; "link findings"; "cold (s)";
-          "cached (s)"; "identical" ]
-  in
-  List.iter
-    (fun (policy, cold, found, cold_s, cached_s, identical) ->
-      Table.add_row t
-        [
-          policy.Policy.name;
-          string_of_int cold.Campaign.simulations;
-          string_of_int (Campaign.unsafe_count cold);
-          string_of_int (List.length found);
-          Printf.sprintf "%.2f" cold_s;
-          Printf.sprintf "%.2f" cached_s;
-          yn identical;
-        ])
-    rows;
-  Table.print t;
-  List.iter
-    (fun (policy, _, found, _, _, _) ->
-      match found with
-      | f :: _ ->
-        Printf.printf "%s first link finding: %s\n" policy.Policy.name
-          (Report.describe f.Campaign.report)
-      | [] ->
-        Printf.printf
-          "%s: no link finding within the budget (raise AVIS_BUDGET)\n"
-          policy.Policy.name)
-    rows;
-  let json =
-    Json.Assoc
-      [
-        ("budget_s", Json.Number bench_budget);
-        ( "cells",
-          Json.List
-            (List.map
-               (fun (policy, cold, found, cold_s, cached_s, identical) ->
-                 Json.Assoc
-                   [
-                     ("firmware", Json.String policy.Policy.name);
-                     ("workload", Json.String Workload.auto_box.Workload.name);
-                     ("simulations", Json.int cold.Campaign.simulations);
-                     ("findings", Json.int (Campaign.unsafe_count cold));
-                     ("link_findings", Json.int (List.length found));
-                     ( "first_link_finding",
-                       match found with
-                       | [] -> Json.Null
-                       | f :: _ ->
-                         Json.String (Report.describe f.Campaign.report) );
-                     ("cold_wall_s", Json.Number cold_s);
-                     ("cached_wall_s", Json.Number cached_s);
-                     ("identical", Json.Bool identical);
-                   ])
-               rows) );
-      ]
-  in
-  write_artefact "BENCH_link_faults.json" json
-
-(* ------------------------------------------------------------------ *)
-(* Hot loop: allocation-free kernel vs the reference step               *)
-(* ------------------------------------------------------------------ *)
-
-let hotloop_bench () =
-  section "Hot loop: allocation-free kernel vs reference step";
-  let open Avis_geo in
-  let open Avis_physics in
-  let hover = Airframe.hover_throttle Airframe.iris in
-  let dt = 0.004 in
-  (* Stable hover far above the ground: neither loop may ever take the
-     crashed fast path, or the ratio measures a no-op. *)
-  let make_world () = World.create ~position:(Vec3.make 0.0 0.0 100.0) () in
-  let cmds = Array.make 4 hover in
-  (* Open-loop hover is only metastable — rounding in the torque balance
-     tips the vehicle over after ~11 k steps — so the loop re-arms from a
-     pristine snapshot every [batch] steps. The restore is a handful of
-     blits, invisible at this cadence. *)
-  let batch = 8_000 in
-  let time_steps stepf n =
-    let pristine = World.snapshot (make_world ()) in
-    let warm = World.restore pristine in
-    for _ = 1 to 1000 do
-      ignore (stepf warm ~motor_commands:cmds ~dt)
-    done;
-    if World.crashed warm then failwith "hotloop: bench vehicle crashed";
-    let remaining = ref n in
-    let t0 = Metrics.now_s () in
-    while !remaining > 0 do
-      let k = min batch !remaining in
-      let w = World.restore pristine in
-      for _ = 1 to k do
-        ignore (stepf w ~motor_commands:cmds ~dt)
-      done;
-      if World.crashed w then failwith "hotloop: bench vehicle crashed";
-      remaining := !remaining - k
-    done;
-    let s = Metrics.now_s () -. t0 in
-    float_of_int n /. Float.max 1e-9 s
-  in
-  let n = 500_000 in
-  let steps_per_sec = time_steps World.step n in
-  let baseline_steps_per_sec = time_steps World.step_reference n in
-  let speedup = steps_per_sec /. Float.max 1e-9 baseline_steps_per_sec in
-  (* Steady-state allocation of the full kernel — physics step, sensor
-     tick, trace record — in minor-heap words per step. *)
-  let minor_words_per_step = Selftest.kernel_minor_words () /. 1000.0 in
-  (* Bit-identity of the optimised kernel against the reference: the
-     selftest's DET-FP check. *)
-  let identical = (Selftest.run_check (Selftest.det_fp ())).Selftest.passed in
-  identity "hotloop" identical;
-  (* Compact snapshot: exact byte size and capture/restore latency. *)
-  let snap_world = make_world () in
-  for _ = 1 to 500 do
-    ignore (World.step snap_world ~motor_commands:cmds ~dt)
-  done;
-  let snap = World.snapshot snap_world in
-  let snapshot_bytes = World.snapshot_bytes snap in
-  let k = 20_000 in
-  let per_call_ms f =
-    let (), s = timed (fun () -> for _ = 1 to k do f () done) in
-    1000.0 *. s /. float_of_int k
-  in
-  let snapshot_ms = per_call_ms (fun () -> ignore (World.snapshot snap_world)) in
-  let restore_ms = per_call_ms (fun () -> ignore (World.restore snap)) in
-  let t =
-    Table.create
-      ~header:[ "metric"; "optimised"; "reference" ]
-  in
-  Table.add_row t
-    [ "steps/s"; Printf.sprintf "%.2e" steps_per_sec;
-      Printf.sprintf "%.2e" baseline_steps_per_sec ];
-  Table.add_row t [ "speedup"; Printf.sprintf "%.1fx" speedup; "1.0x" ];
-  Table.add_row t
-    [ "minor words/step"; Printf.sprintf "%.3f" minor_words_per_step; "-" ];
-  Table.add_row t
-    [ "snapshot"; Printf.sprintf "%.4f ms / %d B" snapshot_ms snapshot_bytes;
-      "-" ];
-  Table.add_row t [ "restore"; Printf.sprintf "%.4f ms" restore_ms; "-" ];
-  Table.add_row t [ "identical"; yn identical; "baseline" ];
-  Table.print t;
-  let json =
-    Json.Assoc
-      [
-        ("steps_per_sec", Json.Number steps_per_sec);
-        ("baseline_steps_per_sec", Json.Number baseline_steps_per_sec);
-        ("speedup", Json.Number speedup);
-        ("minor_words_per_step", Json.Number minor_words_per_step);
-        ("snapshot_ms", Json.Number snapshot_ms);
-        ("snapshot_bytes", Json.int snapshot_bytes);
-        ("restore_ms", Json.Number restore_ms);
-        ("identical", Json.Bool identical);
-      ]
-  in
-  write_artefact "BENCH_hotloop.json" json
-
-(* ------------------------------------------------------------------ *)
-(* Scheduling: cost-model-guided LPT vs static shards                   *)
-(* ------------------------------------------------------------------ *)
-
-(* A deliberately skewed matrix — twelve short cells plus one ~4.5x
-   longer cell, long cell last in arrival order — is where scheduling
-   policy shows: round-robin static shards trap the long cell behind a
-   shard-mate backlog, and arrival-order dispatch starts it last so it
-   straggles. Makespans are computed by deterministic list-scheduling
-   simulation over each cell's measured duration (a real parallel run's
-   wall-clock would measure the CI runner's core count, not the
-   scheduler); the real pull-LPT run below feeds the identity check
-   instead. *)
-
-type sched_spec = {
-  sname : string;
-  spolicy : Policy.t;
-  sbudget_s : float;
-  sbase : int;  (** Base seed: distinct per short cell. *)
-}
-
-let sched_workers = 4
-
-let sched_specs =
-  let short_budget_s = 20.0 in
-  List.init 12 (fun i ->
-      {
-        sname = Printf.sprintf "short%02d" i;
-        spolicy = Policy.apm;
-        sbudget_s = short_budget_s;
-        sbase = i + 1;
-      })
-  (* Same approach and workload as the shorts but a different firmware:
-     a distinct cost-model class (the label keys approach x firmware x
-     workload). The px4 model costs roughly half the wall-clock of apm
-     per modelled second, so 8.5x the modelled budget lands the long
-     cell's wall time near 4x a short's — the skew that maximises the
-     static-shard straggler penalty ((3s + L) vs max(L, 4s)). *)
-  @ [ { sname = "long"; spolicy = Policy.px4;
-        sbudget_s = 8.5 *. short_budget_s; sbase = 1 } ]
-
-let sched_config spec =
-  Campaign.cell_config ~base:spec.sbase ~budget_s:spec.sbudget_s spec.spolicy
-    Workload.quickstart ~approach:"random"
-
-let sched_label spec =
-  Campaign.label_of (sched_config spec) ~approach:"random"
-
-(* Run one cell and return its result digest. *)
-let sched_run spec =
-  let config = sched_config spec in
-  Campaign.result_digest config ~approach:"random"
-    (Campaign.run config ~strategy:(fun ctx -> Random_search.make ctx))
-
-(* Greedy list scheduling (earliest-free worker takes the next cell in
-   [order]): what the pull dispatcher converges to when every cell's
-   duration is known. Returns the makespan and per-worker busy seconds. *)
-let sched_simulate ~workers order =
-  let free = Array.make workers 0.0 in
-  let busy = Array.make workers 0.0 in
-  List.iter
-    (fun (_, d) ->
-      let w = ref 0 in
-      Array.iteri (fun i t -> if t < free.(!w) then w := i) free;
-      free.(!w) <- free.(!w) +. d;
-      busy.(!w) <- busy.(!w) +. d)
-    order;
-  (Array.fold_left Float.max 0.0 free, busy)
-
-let sched_bench () =
-  section "Scheduling (pull dispatch + LPT vs static shards)";
-  (* Sequential reference: measures every cell's duration (the cost
-     model's training data and the simulation's ground truth) and fixes
-     the result bytes the parallel run must reproduce. *)
-  let reference =
-    List.map
-      (fun spec ->
-        let digest, elapsed_s = timed (fun () -> sched_run spec) in
-        (spec, digest, elapsed_s))
-      sched_specs
-  in
-  let cost = Cost_model.create () in
-  List.iter
-    (fun (spec, _, elapsed_s) ->
-      Cost_model.observe cost ~label:(sched_label spec) ~elapsed_s)
-    reference;
-  let arrival = List.map (fun (spec, _, d) -> (spec, d)) reference in
-  (* Heaviest predicted first, through the same model the daemon and the
-     matrix runners use; ties keep arrival order. *)
-  let weight spec =
-    Cost_model.predict cost ~label:(sched_label spec) ~budget_s:spec.sbudget_s
-  in
-  let lpt =
-    List.stable_sort
-      (fun (a, _) (b, _) -> Float.compare (weight b) (weight a))
-      arrival
-  in
-  (* The historical static schedule: cells round-robined into one shard
-     per worker up front, each shard a sequential run. *)
-  let makespan_static =
-    List.init sched_workers (fun k ->
-        List.filteri (fun i _ -> i mod sched_workers = k) arrival
-        |> List.fold_left (fun acc (_, d) -> acc +. d) 0.0)
-    |> List.fold_left Float.max 0.0
-  in
-  let makespan_pull_arrival, _ =
-    sched_simulate ~workers:sched_workers arrival
-  in
-  let makespan_pull_lpt, busy = sched_simulate ~workers:sched_workers lpt in
-  let makespan_ratio = makespan_static /. Float.max 1e-9 makespan_pull_lpt in
-  let lpt_gain = makespan_pull_arrival /. Float.max 1e-9 makespan_pull_lpt in
-  let speedup_ok = makespan_ratio >= 1.5 in
-  (* Identity: the same cells through a real pull-order (LPT) run must
-     reproduce the sequential bytes exactly — scheduling must never touch
-     results. *)
-  let lpt_results =
-    Pool.map_lpt ~jobs:sched_workers ~weight:(fun (spec, _) -> weight spec)
-      (fun (spec, _) -> sched_run spec)
-      arrival
-  in
-  let identical =
-    List.for_all2
-      (fun (spec, want, _) got ->
-        let ok = got = want in
-        if not ok then
-          Printf.eprintf "[bench] sched: pull-LPT run diverged on %s\n%!"
-            spec.sname;
-        ok)
-      reference lpt_results
-  in
-  identity "sched" identical;
-  let total_busy = Array.fold_left ( +. ) 0.0 busy in
-  Printf.printf
-    "13 cells (12 short + 1 long), %d workers\n\
-     static shards, arrival order: makespan %.2f s (simulated)\n\
-     pull dispatch, arrival order: makespan %.2f s\n\
-     pull dispatch, LPT order:     makespan %.2f s\n\
-     static/LPT ratio %.2fx (gate >= 1.5x: %s), LPT/arrival gain %.2fx\n\
-     pull-LPT results identical to sequential: %b\n"
-    sched_workers makespan_static makespan_pull_arrival makespan_pull_lpt
-    makespan_ratio
-    (if speedup_ok then "ok" else "MISSED")
-    lpt_gain identical;
-  let json =
-    Json.Assoc
-      [
-        ("workers", Json.int sched_workers);
-        ("cells", Json.int (List.length sched_specs));
-        ( "durations_s",
-          Json.Assoc
-            (List.map
-               (fun (spec, _, d) -> (spec.sname, Json.Number d))
-               reference) );
-        ("makespan_static_shard_s", Json.Number makespan_static);
-        ("makespan_pull_arrival_s", Json.Number makespan_pull_arrival);
-        ("makespan_pull_lpt_s", Json.Number makespan_pull_lpt);
-        ("makespan_ratio", Json.Number makespan_ratio);
-        ("lpt_gain", Json.Number lpt_gain);
-        ("speedup_ok", Json.Bool speedup_ok);
-        ( "workers_busy_fraction",
-          Json.List
-            (List.map
-               (fun b ->
-                 Json.Number (b /. Float.max 1e-9 makespan_pull_lpt))
-               (Array.to_list busy)) );
-        ( "workers_idle_fraction",
-          Json.List
-            (List.map
-               (fun b ->
-                 Json.Number (1.0 -. (b /. Float.max 1e-9 makespan_pull_lpt)))
-               (Array.to_list busy)) );
-        ( "parallel_efficiency",
-          Json.Number
-            (total_busy
-            /. Float.max 1e-9
-                 (float_of_int sched_workers *. makespan_pull_lpt)) );
-        ("identical", Json.Bool identical);
-      ]
-  in
-  write_artefact "BENCH_sched.json" json
-
-(* ------------------------------------------------------------------ *)
 (* Simulator characteristics (the paper's slowdown discussion)          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1322,101 +714,11 @@ let simulator_stats () =
     (float_of_int golden.Avis_sitl.Sim.sensor_reads /. golden.Avis_sitl.Sim.duration)
     (List.length golden.Avis_sitl.Sim.transitions);
   (* Monotonic: a wall-clock step (NTP, DST) must not skew the ratio. *)
-  let _, real = timed (fun () -> run_auto_box Policy.apm ~enabled:[] ~plan:[]) in
+  let t0 = Metrics.now_s () in
+  ignore (run_auto_box Policy.apm ~enabled:[] ~plan:[]);
+  let real = Metrics.now_s () -. t0 in
   Printf.printf "real-time speed-up on this machine: %.0fx\n"
     (golden.Avis_sitl.Sim.duration /. real)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro_benchmarks () =
-  section "Micro-benchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  (* One Test.make per table/figure driver cost centre. *)
-  let sim_step =
-    let sim =
-      Avis_sitl.Sim.create
-        { (Avis_sitl.Sim.default_config Policy.apm) with
-          Avis_sitl.Sim.max_duration = 1.0e12 }
-    in
-    Test.make ~name:"table2-4: simulation step"
-      (Staged.stage (fun () -> Avis_sitl.Sim.step sim))
-  in
-  let monitor_check =
-    let config = Campaign.default_config Policy.apm Workload.auto_box in
-    let profile, _, golden = Campaign.profile_and_context config in
-    Test.make ~name:"table3: monitor check of one run"
-      (Staged.stage (fun () -> ignore (Monitor.check profile golden)))
-  in
-  let sabre_schedule =
-    Test.make ~name:"fig5: SABRE scheduling decision"
-      (Staged.stage
-         (let ctx =
-            {
-              Search.transitions = [ (2.0, "Pre-Flight", "Takeoff") ];
-              mission_duration = 1.0e9;
-              instances = Suite.instances_of_complement Suite.iris_complement;
-              instances_of_kind = (fun _ -> 2);
-              mode_at = (fun _ -> Some "Takeoff");
-              rng = Rng.create 0;
-            }
-          in
-          let searcher = Sabre.make ctx in
-          fun () ->
-            match searcher.Search.next () with
-            | Search.Run (s, _) ->
-              searcher.Search.observe s
-                { Search.unsafe = false; observed_transitions = [] }
-            | Search.Think _ | Search.Exhausted -> ()))
-  in
-  let bfi_inference =
-    let model = Bfi_model.default () in
-    let features =
-      { Bfi_model.mode_class = "Waypoint"; kinds = [ Sensor.Gps ];
-        whole_kind_lost = true; multiplicity = 1 }
-    in
-    Test.make ~name:"table1: BFI model inference"
-      (Staged.stage (fun () -> ignore (Bfi_model.predict model features)))
-  in
-  let frame_codec =
-    let msg = Avis_mavlink.Msg.Heartbeat { custom_mode = 3; armed = true; system_status = 4 } in
-    Test.make ~name:"fig7: frame encode+decode"
-      (Staged.stage (fun () ->
-           let encoded = Avis_mavlink.Frame.encode ~seq:0 ~sysid:1 ~compid:1 msg in
-           ignore (Avis_mavlink.Frame.feed (Avis_mavlink.Frame.decoder ()) encoded)))
-  in
-  let tests =
-    Test.make_grouped ~name:"avis"
-      [ sim_step; monitor_check; sabre_schedule; bfi_inference; frame_codec ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let results = benchmark () in
-  let t = Table.create ~header:[ "benchmark"; "ns/run" ] in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some (v :: _) -> Printf.sprintf "%.0f" v
-        | Some [] | None -> "n/a"
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter (fun (name, ns) -> Table.add_row t [ name; ns ])
-    (List.sort compare !rows);
-  Table.print t
 
 (* ------------------------------------------------------------------ *)
 
@@ -1427,9 +729,9 @@ let () =
      and AVIS_JOBS%s)\n"
     budget_s jobs
     (if tracing then "; tracing ON (AVIS_TRACE)" else "");
-  (* AVIS_BENCH_ONLY=<part> runs a single section — CI uses it to replay
-     the store section against a persistent store dir without re-running
-     the whole evaluation. *)
+  (* AVIS_BENCH_ONLY=<part> runs a single section — CI uses it to SIGKILL
+     and resume the Table III matrix without re-running the whole
+     evaluation. *)
   let only =
     match Sys.getenv_opt "AVIS_BENCH_ONLY" with
     | Some v when String.trim v <> "" -> Some (String.trim v)
@@ -1451,13 +753,7 @@ let () =
       ("ablation_search_order", ablation_search_order);
       ("ablation_liveliness_metric", ablation_liveliness_metric);
       ("ablation_replay", ablation_replay);
-      ("prefix_cache", prefix_cache_bench);
-      ("store", store_bench);
-      ("link_faults", link_faults_bench);
-      ("hotloop", hotloop_bench);
-      ("sched", sched_bench);
       ("simulator_stats", simulator_stats);
-      ("micro", micro_benchmarks);
     ]
   in
   (* A typo'd section name must fail loudly: silently running zero
@@ -1485,10 +781,4 @@ let () =
       trace_path (Trace.event_count ());
     print_string (Table.render (Trace.summary_table ()));
     print_newline ()
-  end;
-  match List.rev !diverged with
-  | [] -> ()
-  | sections ->
-    Printf.eprintf "avis_bench: results diverged across code paths in: %s\n"
-      (String.concat ", " sections);
-    exit 1
+  end

@@ -8,7 +8,7 @@
    Exits non-zero on a parse failure, a schema violation, a spanless
    trace, or (when --min-coverage is given) a campaign cell whose child
    spans cover less of its wall time than PCT percent. CI runs this over
-   the bench smoke artefact. *)
+   the bench smoke artefact and a store-served `hunt --trace`. *)
 
 open Avis_util
 

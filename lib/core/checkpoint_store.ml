@@ -199,8 +199,6 @@ let read_file path =
 
 (* Candidates under [fault_key]: files whose name starts with the key hash,
    their capture time decoded from the name. Newest first. *)
-let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
-
 let candidates t ~fault_key ~before =
   let prefix = key_hash t ~fault_key ^ "-" in
   let plen = String.length prefix in
@@ -213,18 +211,12 @@ let candidates t ~fault_key ~before =
            && String.length name = plen + 16 + String.length suffix
            && String.sub name 0 plen = prefix
          then begin
-           let hex = String.sub name plen 16 in
-           (* Exactly 16 hex digits: [Int64.of_string] would also accept
-              underscores and sign characters a well-formed name never has.
-              The parse cannot overflow — any 16-digit value fits an
-              [Int64] bit pattern. *)
-           if String.for_all is_hex hex then
-             match Int64.of_string_opt ("0x" ^ hex) with
-             | Some bits ->
-               let time = Int64.float_of_bits bits in
-               if time < before && time >= 0.0 then
-                 found := (time, Filename.concat t.dir name) :: !found
-             | None -> ()
+           match Avis_util.Hex.parse ~digits:16 (String.sub name plen 16) with
+           | Some bits ->
+             let time = Int64.float_of_bits bits in
+             if time < before && time >= 0.0 then
+               found := (time, Filename.concat t.dir name) :: !found
+           | None -> ()
          end)
        (Sys.readdir t.dir)
    with _ -> ());

@@ -112,7 +112,7 @@ let record_of_json j =
   let* inferences = num (Json.member "infs" j) in
   let* spent_bits =
     let* hex = str (Json.member "spent_bits" j) in
-    Int64.of_string_opt ("0x" ^ hex)
+    Hex.parse ~digits:16 hex
   in
   (* Tolerant: a missing field (old journal line) is [None]; a present but
      malformed one rejects the record like any other ill-typed field. *)
@@ -120,7 +120,7 @@ let record_of_json j =
     match Json.member "elapsed_bits" j with
     | None -> Some None
     | Some (Json.String hex) ->
-      Option.map Option.some (Int64.of_string_opt ("0x" ^ hex))
+      Option.map Option.some (Hex.parse ~digits:16 hex)
     | Some _ -> None
   in
   let* findings =

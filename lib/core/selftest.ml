@@ -308,6 +308,8 @@ let pool_sane () =
           end);
   }
 
+(* Minor-heap words the step/sense/record hot loop allocates over 1000
+   steady-hover steps, after 2000 warm-up steps. *)
 let kernel_minor_words () =
   let w = World.create ~position:(Vec3.make 0.0 0.0 100.0) () in
   let suite = Avis_sensors.Suite.create ~rng:(Avis_util.Rng.create 1) () in

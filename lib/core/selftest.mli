@@ -56,11 +56,6 @@ val det_fp :
     (default {!Avis_physics.World.step}) — tests inject a perturbed
     stepper to force the failure path. *)
 
-val kernel_minor_words : unit -> float
-(** The [ALLOC-0] fixture: minor-heap words the step/sense/record hot
-    loop allocates over 1000 steady-hover steps, after 2000 warm-up
-    steps. *)
-
 val store_rw : ?dir:string -> unit -> check
 (** The [STORE-RW] check. [dir] overrides the store directory (default a
     fresh temp dir, removed afterwards) — tests pass an unusable path to

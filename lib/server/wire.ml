@@ -100,7 +100,7 @@ let hunt_request_of_json j =
   in
   let* budget_s =
     let* hex = str (Json.member "budget_bits" j) in
-    let* bits = Int64.of_string_opt ("0x" ^ hex) in
+    let* bits = Hex.parse ~digits:16 hex in
     Some (Int64.float_of_bits bits)
   in
   let* seed = num (Json.member "seed" j) in
@@ -271,7 +271,7 @@ let directive_of_json j =
     let* a_approach = str (Json.member "approach" j) in
     let* a_budget_s =
       let* hex = str (Json.member "budget_bits" j) in
-      let* bits = Int64.of_string_opt ("0x" ^ hex) in
+      let* bits = Hex.parse ~digits:16 hex in
       Some (Int64.float_of_bits bits)
     in
     let* a_seed = num (Json.member "seed" j) in

@@ -47,9 +47,17 @@ let unescape_value s =
       if i >= n then Ok (Buffer.contents b)
       else if s.[i] = '%' then
         if i + 2 < n then
-          match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-          | Some code when code >= 0 && code < 256 ->
-            Buffer.add_char b (Char.chr code);
+          (* Only an escape [escape_value] writes: two uppercase digits
+             of a reserved byte. Any other spelling would parse, but
+             re-render as different bytes. *)
+          let hex = String.sub s (i + 1) 2 in
+          match
+            Option.map
+              (fun code -> Char.chr (Int64.to_int code))
+              (Hex.parse ~upper:true ~digits:2 hex)
+          with
+          | Some c when needs_escape c ->
+            Buffer.add_char b c;
             go (i + 3)
           | Some _ | None -> Error (Printf.sprintf "bad %%-escape in %S" s)
         else Error (Printf.sprintf "truncated %%-escape in %S" s)

@@ -161,6 +161,12 @@ let test_wire_rejects () =
       (* Submit with a missing field and with malformed budget bits. *)
       {|{"op":"submit","firmware":"apm","workload":"quickstart","approaches":["random"],"seed":1,"shards":1}|};
       {|{"op":"submit","firmware":"apm","workload":"quickstart","approaches":["random"],"budget_bits":"zz","seed":1,"shards":1}|};
+      (* OCaml literal syntax is not budget bits: these used to parse as
+         a 1.3e-318 s and a 300 s budget. Only the writer's 16 lowercase
+         digits are. *)
+      {|{"op":"submit","firmware":"apm","workload":"quickstart","approaches":["random"],"budget_bits":"4072c","seed":1}|};
+      {|{"op":"submit","firmware":"apm","workload":"quickstart","approaches":["random"],"budget_bits":"4072_c00000000000","seed":1}|};
+      {|{"op":"submit","firmware":"apm","workload":"quickstart","approaches":["random"],"budget_bits":"4072C00000000000","seed":1}|};
     ];
   match Wire.parse_response {|{"type":"cell","req":"r1"}|} with
   | Error _ -> ()
@@ -190,6 +196,12 @@ let test_wire_directive_roundtrip () =
   (match Wire.parse_directive {|{"op":"cell-assign","req":"r1"}|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an assignment without its cell fields");
+  (match
+     Wire.parse_directive
+       {|{"op":"cell-assign","req":"r1","firmware":"apm","workload":"quickstart","approach":"random","budget_bits":"4072_c00000000000","seed":1}|}
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted an assignment with malformed budget bits");
   match Wire.parse_directive "not json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a non-JSON directive line"

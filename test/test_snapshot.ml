@@ -258,38 +258,60 @@ let test_campaign_cache_transparent () =
     (digest (run true))
 
 (* A campaign replayed with a shared cache forks every scenario from its
-   last checkpoint; the result must still be identical to the cold run. *)
-let test_campaign_replay_identical () =
-  let base = Campaign.default_config Policy.apm Workload.auto_box in
-  let config =
-    { base with Campaign.budget_s = 200.0; prefix_cache = true }
-  in
-  let strategy ctx = Sabre.make ctx in
+   last checkpoint; cold, first-cached and replay runs must give the same
+   result digest, and the replay must be served from snapshots (every
+   scenario hits). *)
+let check_replay_identical config ~approach ~strategy =
   let cold =
-    Campaign.run
-      { config with Campaign.prefix_cache = false }
-      ~strategy
+    Campaign.run { config with Campaign.prefix_cache = false } ~strategy
   in
   let cache = Campaign.make_cache config in
   let first = Campaign.run ~cache config ~strategy in
   let replay = Campaign.run ~cache config ~strategy in
-  let digest = Campaign.result_digest config ~approach:"Avis" in
-  let check msg a b = Alcotest.(check string) msg (digest a) (digest b) in
+  let digest = Campaign.result_digest config ~approach in
+  let label = Campaign.label_of config ~approach in
+  let check msg a b =
+    Alcotest.(check string) (label ^ ": " ^ msg) (digest a) (digest b)
+  in
   check "shared-cache first run = cold" cold first;
   check "shared-cache replay = cold" cold replay;
-  (* The replay really was served from snapshots: every scenario hit. *)
-  let s0 =
-    match first.Campaign.cache_stats with
+  let stats (r : Campaign.result) =
+    match r.Campaign.cache_stats with
     | Some s -> s
     | None -> Alcotest.fail "cache disabled"
   in
-  let s1 =
-    match replay.Campaign.cache_stats with
-    | Some s -> s
-    | None -> Alcotest.fail "cache disabled"
-  in
-  Alcotest.(check int) "replay added no misses" s0.Prefix_cache.misses
-    s1.Prefix_cache.misses
+  Alcotest.(check int) (label ^ ": replay added no misses")
+    (stats first).Prefix_cache.misses (stats replay).Prefix_cache.misses
+
+(* Every approach on both firmwares (the quickstart mission, small
+   budget), plus a longer SABRE campaign on the auto-box mission. *)
+let test_campaign_replay_identical () =
+  check_replay_identical
+    {
+      (Campaign.default_config Policy.apm Workload.auto_box) with
+      Campaign.budget_s = 200.0;
+      prefix_cache = true;
+    }
+    ~approach:"Avis" ~strategy:(fun ctx -> Sabre.make ctx);
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun (approach, strategy) ->
+          check_replay_identical
+            {
+              (Campaign.cell_config ~budget_s:60.0 policy Workload.quickstart
+                 ~approach)
+              with
+              Campaign.prefix_cache = true;
+            }
+            ~approach ~strategy)
+        [
+          ("Avis", fun ctx -> Sabre.make ctx);
+          ("Strat. BFI", fun ctx -> Strat_bfi.make ctx);
+          ("BFI", fun ctx -> Bfi.make ctx);
+          ("Random", fun ctx -> Random_search.make ctx);
+        ])
+    [ Policy.apm; Policy.px4 ]
 
 let () =
   Alcotest.run "avis_snapshot"

@@ -443,6 +443,34 @@ let test_deadline_quarantines () =
     Alcotest.(check bool) "deadline hits counted" true
       (deadline1 - deadline0 >= 3)
 
+(* Regression: spent_bits/elapsed_bits used to parse as
+   [Int64.of_string ("0x" ^ s)], which takes OCaml literal syntax (a
+   short field, underscores, a sign). A record is only well formed with
+   the 16 lowercase digits the writer emits. *)
+let test_journal_rejects_loose_bits () =
+  let with_field name value =
+    match Run_journal.record_to_json (sample_record ~key:"k") with
+    | Avis_util.Json.Assoc fields ->
+      Avis_util.Json.Assoc
+        (List.map
+           (fun (k, v) ->
+             if k = name then (k, Avis_util.Json.String value) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "record is not a JSON object"
+  in
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) (field ^ ": well-formed bits parse") true
+        (Run_journal.record_of_json (with_field field "405edd2f1a9fbe77")
+        <> None);
+      List.iter
+        (fun bits ->
+          if Run_journal.record_of_json (with_field field bits) <> None then
+            Alcotest.failf "record accepted %s %S" field bits)
+        [ "405ed"; "405e_dd2f1a9fbe77"; "405EDD2F1A9FBE77";
+          "0405edd2f1a9fbe77"; "-05edd2f1a9fbe77"; "" ])
+    [ "spent_bits"; "elapsed_bits" ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -464,6 +492,8 @@ let () =
             test_journal_elapsed_roundtrip;
           Alcotest.test_case "pre-elapsed journal lines tolerated" `Quick
             test_journal_old_line_tolerated;
+          Alcotest.test_case "loose bits fields rejected" `Quick
+            test_journal_rejects_loose_bits;
         ] );
       ( "cost model",
         [

@@ -431,7 +431,7 @@ let test_metrics_parse_rejects () =
       match Metrics.parse_line bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "parse_line %S unexpectedly succeeded" bad)
-    [
+    ([
       "event=progress cell=x";  (* no [avis] prefix *)
       "[avis] event=progress";  (* missing fields *)
       "[avis] event=progress cell=x sims=many infs=0 spent_s=0.0 \
@@ -440,6 +440,36 @@ let test_metrics_parse_rejects () =
       "[avis] event=progress cell=bad%GG sims=0 infs=0 spent_s=0.0 \
        budget_s=0.0 findings=0 wall_s=0.0 minor_mw=0.00 majors=0 store_h=0 \
        store_m=0 store_b=0";  (* malformed escape *)
+     ]
+    (* Escapes [line] never writes: they would parse, then re-render as
+       other bytes. Only two uppercase digits of a reserved byte are an
+       escape. *)
+    @ List.map
+        (fun cell ->
+          Printf.sprintf
+            "[avis] event=progress cell=%s sims=0 infs=0 spent_s=0.0 \
+             budget_s=0.0 findings=0 wall_s=0.0 minor_mw=0.00 majors=0 \
+             store_h=0 store_m=0 store_b=0"
+            cell)
+        [ "a%1_b"; "a%0a"; "a%3d"; "a%41"; "a%+1" ])
+
+let test_hex_strict () =
+  let check msg want got =
+    Alcotest.(check (option int64)) msg want got
+  in
+  check "16 lowercase digits" (Some 0x4072c00000000000L)
+    (Hex.parse ~digits:16 "4072c00000000000");
+  check "all ones" (Some (-1L)) (Hex.parse ~digits:16 "ffffffffffffffff");
+  check "2 uppercase digits" (Some 0x3DL) (Hex.parse ~upper:true ~digits:2 "3D");
+  List.iter
+    (fun (upper, digits, s) ->
+      check (Printf.sprintf "%S rejected" s) None (Hex.parse ~upper ~digits s))
+    [
+      (false, 16, "4072c"); (false, 16, "4072_c00000000000");
+      (false, 16, "4072c000000000000"); (false, 16, "4072C00000000000");
+      (false, 16, "-072c00000000000"); (false, 16, "0x72c00000000000");
+      (false, 16, ""); (true, 2, "1_"); (true, 2, "0a"); (true, 2, "+1");
+      (true, 2, "3"); (false, 17, "00000000000000000"); (false, 0, "");
     ]
 
 (* Any cell label and tag value — spaces, '=', '%', newlines, whatever —
@@ -557,6 +587,7 @@ let () =
           Alcotest.test_case "positive float" `Quick test_env_positive_float;
           Alcotest.test_case "flag" `Quick test_env_flag;
         ] );
+      ("hex", [ Alcotest.test_case "strict fixed width" `Quick test_hex_strict ]);
       ( "metrics",
         [
           Alcotest.test_case "cell escaping" `Quick
