@@ -198,6 +198,9 @@ let sim_config (config : config) ~seed ~scenario =
     ~link_outages:(Scenario.link_outages scenario)
     (sim_cfg_of config ~seed)
 
+(* Test runs are deterministic: a fixed seed distinct from profiling. *)
+let test_seed (config : config) = config.seed + 1000
+
 let execute_run config ~seed ~scenario =
   let sim = sim_config config ~seed ~scenario in
   let passed = Workload.execute config.workload sim in
@@ -226,16 +229,24 @@ let profile_and_context config =
   in
   (profile, ctx, first)
 
-(* A cache bound to [config]'s test runs, shareable across campaigns of the
-   same config: grid checkpoints only, since the profiled transition times
-   are not known until [run] profiles. *)
-let make_cache ?store_dir config =
-  let test_seed = config.seed + 1000 in
+(* The one cache constructor. It provisions with the exact test config,
+   which is what keeps cached outcomes bit-identical to cold ones, and
+   checkpoints at [transitions] (where the strategies schedule injections)
+   plus a one-second grid below the simulator's cap, so faults at observed
+   — not just profiled — transition times also land near a snapshot. *)
+let cache_of ?store_dir config ~transitions =
   let dur = max_sim_duration config in
+  let grid = List.init (int_of_float dur) (fun i -> float_of_int (i + 1)) in
   Prefix_cache.create ?store_dir ~workload:config.workload
-    ~make_sim:(fun ~scenario -> sim_config config ~seed:test_seed ~scenario)
-    ~checkpoint_times:(List.init (int_of_float dur) (fun i -> float_of_int (i + 1)))
+    ~make_sim:(fun ~scenario ->
+      sim_config config ~seed:(test_seed config) ~scenario)
+    ~checkpoint_times:(transitions @ List.filter (fun t -> t < dur) grid)
     ()
+
+(* Shareable across campaigns of the same config: grid checkpoints only,
+   since the profiled transition times are not known until [run]
+   profiles. *)
+let make_cache ?store_dir config = cache_of ?store_dir config ~transitions:[]
 
 (* Canonical identity of one campaign cell, the config half of its
    journal key: the exact test-run simulator configuration (policy, bugs,
@@ -246,7 +257,7 @@ let make_cache ?store_dir config =
    when serving a memo is sound. *)
 let journal_identity (config : config) ~approach =
   let b = Buffer.create 256 in
-  Sim.encode_config b (sim_cfg_of config ~seed:(config.seed + 1000));
+  Sim.encode_config b (sim_cfg_of config ~seed:(test_seed config));
   Buffer.add_char b '\x00';
   Buffer.add_string b config.workload.Workload.name;
   Buffer.add_char b '\x00';
@@ -303,6 +314,32 @@ let result_digest config ~approach result =
     (Run_journal.record_to_json
        (record_of_result config ~approach ~fingerprint:"result-digest" result))
 
+(* The one builder of a cell's metrics line: live progress, a finished or
+   quarantined cell, and a memo all go through here. The GC and store
+   fields are zero unless given. *)
+let metrics_snapshot ?(gc = (0.0, 0)) ?cache_stats ~cell ~budget_s ~wall_s
+    ~simulations ~inferences ~spent_s ~findings () =
+  let minor_words, major_collections = gc in
+  let store_hits, store_misses, store_bytes =
+    match cache_stats with
+    | None -> (0, 0, 0)
+    | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
+  in
+  {
+    Avis_util.Metrics.cell;
+    simulations;
+    inferences;
+    spent_s;
+    budget_s;
+    findings;
+    wall_s;
+    minor_words;
+    major_collections;
+    store_hits;
+    store_misses;
+    store_bytes;
+  }
+
 (* Ignored, kept so existing callers compile: campaigns always run one
    scenario at a time. *)
 let lanes_of_env () = 1
@@ -352,13 +389,6 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
   let budget = Budget.create ~speedup:config.speedup ~total_s:config.budget_s () in
   let findings = ref [] in
   let stopped = ref false in
-  (* Test runs are deterministic: a fixed seed distinct from profiling. *)
-  let test_seed = config.seed + 1000 in
-  (* Checkpoint runs at the profiled mode transitions (where the strategies
-     schedule injections) plus a one-second grid, so faults at observed —
-     not just profiled — transition times also land near a snapshot. The
-     cache provisions with the exact test config, which is what keeps
-     cached outcomes bit-identical to cold ones. *)
   let cache =
     if not config.prefix_cache then None
     else
@@ -370,48 +400,25 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
            the tail. *)
         cache
       | None ->
-        let dur = max_sim_duration config in
-        let grid =
-          List.init (int_of_float dur) (fun i -> float_of_int (i + 1))
-        in
-        let checkpoint_times =
-          List.map (fun (t, _, _) -> t) ctx.Search.transitions
-          @ List.filter (fun t -> t < dur) grid
-        in
         Some
-          (Prefix_cache.create ~workload:config.workload
-             ~make_sim:(fun ~scenario -> sim_config config ~seed:test_seed ~scenario)
-             ~checkpoint_times ())
+          (cache_of config
+             ~transitions:(List.map (fun (t, _, _) -> t) ctx.Search.transitions))
   in
   let run_scenario scenario =
     Avis_util.Trace.span ~cat:"sim" "campaign.run_scenario" @@ fun () ->
     match cache with
     | Some cache -> Prefix_cache.execute cache ~scenario
-    | None -> execute_run config ~seed:test_seed ~scenario
+    | None -> execute_run config ~seed:(test_seed config) ~scenario
   in
   let report_progress () =
-    let store_hits, store_misses, store_bytes =
-      match cache with
-      | None -> (0, 0, 0)
-      | Some c ->
-        let s = Prefix_cache.stats c in
-        Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-    in
     progress
-      {
-        cell = label;
-        simulations = Budget.simulations_run budget;
-        inferences = Budget.inferences_run budget;
-        spent_s = Budget.spent_s budget;
-        budget_s = config.budget_s;
-        findings = List.length !findings;
-        wall_s = Avis_util.Metrics.now_s () -. wall0;
-        minor_words = gc_minor_words ();
-        major_collections = gc_majors ();
-        store_hits;
-        store_misses;
-        store_bytes;
-      }
+      (metrics_snapshot ~cell:label ~budget_s:config.budget_s
+         ~wall_s:(Avis_util.Metrics.now_s () -. wall0)
+         ~gc:(gc_minor_words (), gc_majors ())
+         ?cache_stats:(Option.map Prefix_cache.stats cache)
+         ~simulations:(Budget.simulations_run budget)
+         ~inferences:(Budget.inferences_run budget)
+         ~spent_s:(Budget.spent_s budget) ~findings:(List.length !findings) ())
   in
   while (not !stopped) && (not (Budget.exhausted budget)) && not (interrupted ()) do
     tick_deadline ();
@@ -519,20 +526,11 @@ type cell_run = {
 }
 
 let memo_snapshot ~budget_s ~wall_s (record : Run_journal.record) =
-  {
-    Avis_util.Metrics.cell = record.Run_journal.label;
-    simulations = record.Run_journal.simulations;
-    inferences = record.Run_journal.inferences;
-    spent_s = Run_journal.spent_s record;
-    budget_s;
-    findings = List.length record.Run_journal.findings;
-    wall_s;
-    minor_words = 0.0;
-    major_collections = 0;
-    store_hits = 0;
-    store_misses = 0;
-    store_bytes = 0;
-  }
+  metrics_snapshot ~cell:record.Run_journal.label ~budget_s ~wall_s
+    ~simulations:record.Run_journal.simulations
+    ~inferences:record.Run_journal.inferences
+    ~spent_s:(Run_journal.spent_s record)
+    ~findings:(List.length record.Run_journal.findings) ()
 
 (* The one cell runner behind `hunt`, the daemon's workers and the bench
    matrix: memo, else a supervised run, then the cell's record and its
@@ -562,18 +560,16 @@ let run_cell ?journal ?progress config ~approach ~strategy =
         ~label:(label_of config ~approach)
     | Some _ | None -> ());
     let wall_s = elapsed () in
-    let zero =
-      {
-        Avis_util.Metrics.cell = label_of config ~approach;
-        simulations = 0; inferences = 0; spent_s = 0.0;
-        budget_s = config.budget_s; findings = 0; wall_s; minor_words = 0.0;
-        major_collections = 0; store_hits = 0; store_misses = 0;
-        store_bytes = 0;
-      }
-    in
+    let cell = label_of config ~approach and budget_s = config.budget_s in
     (match supervised with
     | Quarantined e ->
-      { outcome = Quarantined e; snapshot = zero; event = "quarantined" }
+      {
+        outcome = Quarantined e;
+        snapshot =
+          metrics_snapshot ~cell ~budget_s ~wall_s ~simulations:0
+            ~inferences:0 ~spent_s:0.0 ~findings:0 ();
+        event = "quarantined";
+      }
     | Completed result ->
       let record =
         match Option.bind journal memo with
@@ -588,26 +584,15 @@ let run_cell ?journal ?progress config ~approach ~strategy =
           record_of_result ~elapsed_s:wall_s config ~approach ~fingerprint
             result
       in
-      let store_hits, store_misses, store_bytes =
-        match result.cache_stats with
-        | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-        | None -> (0, 0, 0)
-      in
       {
         outcome = Live (result, record);
         snapshot =
-          {
-            zero with
-            simulations = result.simulations;
-            inferences = result.inferences;
-            spent_s = result.wall_clock_spent_s;
-            findings = List.length result.findings;
-            minor_words = result.minor_words;
-            major_collections = result.major_collections;
-            store_hits;
-            store_misses;
-            store_bytes;
-          };
+          metrics_snapshot ~cell ~budget_s ~wall_s
+            ~gc:(result.minor_words, result.major_collections)
+            ?cache_stats:result.cache_stats ~simulations:result.simulations
+            ~inferences:result.inferences
+            ~spent_s:result.wall_clock_spent_s
+            ~findings:(List.length result.findings) ();
         event = "done";
       })
 

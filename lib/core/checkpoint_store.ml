@@ -28,7 +28,9 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable bytes : int;  (** Directory size after the last scan. *)
+  mutable bytes : int;
+      (** Directory size as of the last scan ([create], eviction), plus
+          what this instance has written since. *)
   mutable tmp_counter : int;
 }
 
@@ -246,4 +248,4 @@ let count_hit (t : t) = t.hits <- t.hits + 1
 let count_miss (t : t) = t.misses <- t.misses + 1
 
 let stats (t : t) : stats =
-  { hits = t.hits; misses = t.misses; bytes = scan_bytes t; evictions = t.evictions }
+  { hits = t.hits; misses = t.misses; bytes = t.bytes; evictions = t.evictions }

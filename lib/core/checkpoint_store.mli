@@ -82,11 +82,17 @@ val count_miss : t -> unit
 type stats = {
   hits : int;  (** Scenarios served from a stored checkpoint. *)
   misses : int;  (** Scenarios the store could not serve. *)
-  bytes : int;  (** Bytes currently on disk under the store directory. *)
+  bytes : int;
+      (** Bytes on disk under the store directory as of the last scan —
+          at {!create} and whenever a [put] takes the directory past its
+          budget — plus what this instance has written since. Files other
+          processes add or delete in between are not seen until the next
+          scan. *)
   evictions : int;  (** Files deleted by this instance to stay in budget. *)
 }
 
 val stats : t -> stats
+(** Constant time: reads counters, never the directory. *)
 
 val default_store_mb : int
 

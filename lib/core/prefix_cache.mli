@@ -4,15 +4,15 @@
     the clean flight — provision, arm, climb — and, for searches that stack
     faults onto a previously observed scenario (SABRE's sites), the faulty
     flight of that base scenario too. The cache checkpoints both with
-    {!Avis_sitl.Sim.snapshot} and {!Workload.Stepper.snapshot}:
-
-    - the clean run is simulated {e once} (same config and seed as the test
-      runs) and checkpointed lazily at the requested times, and
-    - every executed scenario is itself checkpointed at those times as it
-      runs, each checkpoint keyed by the exact set of faults — sensor
-      failures and link outages alike — already active when it was taken
-      (an outage stays in the key after its window closes: the traffic it
-      dropped leaves the run permanently different).
+    {!Avis_sitl.Sim.snapshot} and {!Workload.Stepper.snapshot}, from one
+    capture path: every executed scenario is checkpointed at the requested
+    times as it runs, each checkpoint keyed by the exact set of faults —
+    sensor failures and link outages alike — already active when it was
+    taken (an outage stays in the key after its window closes: the traffic
+    it dropped leaves the run permanently different). A run's checkpoints
+    before its first fault carry the empty key: they are the clean prefix
+    every later scenario can fork from. There is no separate clean run; the
+    first scenario into an empty cache runs cold.
 
     A scenario is then served by restoring the latest checkpoint whose
     active-fault set is a float-for-float prefix of the scenario and whose
@@ -62,23 +62,28 @@ val create :
     {!Checkpoint_store} rooted there, keyed by the campaign's code
     fingerprint, canonical configuration bytes, workload and fault
     history. Captures are written through (lazily — nothing is serialised
-    when the file already exists), memory misses fall back to the store
-    before running cold, and a fresh process forks its clean builder from
-    the best stored clean checkpoint instead of re-simulating it. Stored
-    checkpoints are served only on bit-exact key matches, so outcomes
-    remain bit-identical to cold runs, across processes. [store_mb]
+    when the file already exists), and a scenario memory cannot serve
+    falls back to the store before running cold: the same prefix scan over
+    the files, so a fresh process forks each scenario from the latest
+    checkpoint any earlier process wrote under that scenario's own fault
+    prefix. Memory stays the first tier: a scenario memory serves does not
+    consult the store. Stored checkpoints are served only on bit-exact key
+    matches, so outcomes remain bit-identical to cold runs, across
+    processes. [store_mb]
     bounds the store directory (default [AVIS_STORE_MB], else 1024 MiB);
     bypassing configurations never open a store. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean
-    or faulty-prefix — when one exists, and cold otherwise. Either way the
-    outcome is bit-identical to a cold run. *)
+    or faulty-prefix, in memory or else in the store — when one exists, and
+    cold otherwise, checkpointing its own prefixes as it runs. Either way
+    the outcome is bit-identical to a cold run. *)
 
 val bypassing : t -> bool
 (** True when the provisioned runs carry state the cache key cannot encode
-    (sensor degradations, probabilistic link faults); every [execute] is
-    then a cold run counted as a miss. *)
+    (sensor degradations, probabilistic link faults). Such a cache has no
+    capture times and no store, so every [execute] is a cold run counted
+    as a miss. *)
 
 type stats = {
   hits : int;  (** Scenarios served from a checkpoint. *)
@@ -88,11 +93,14 @@ type stats = {
   evictions : int;  (** Checkpoints dropped to stay within the budget. *)
   resident_bytes : int;  (** Current accounted checkpoint bytes. *)
   store_hits : int;
-      (** Restores served from the persistent store (scenario forks and
-          clean-builder forks alike); 0 when no store is configured. *)
+      (** Scenarios memory could not serve that were forked from the
+          persistent store; 0 when no store is configured. *)
   store_misses : int;
-      (** Scenarios the store was consulted for but could not serve. *)
-  store_bytes : int;  (** Bytes currently on disk under the store. *)
+      (** Scenarios neither memory nor the store could serve; equal to
+          [misses] when a store is configured. *)
+  store_bytes : int;
+      (** Bytes under the store directory as {!Checkpoint_store.stats}
+          counts them: its last scan plus this instance's writes. *)
 }
 
 val stats : t -> stats

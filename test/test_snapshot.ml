@@ -135,19 +135,65 @@ let test_prefix_cache_transparent () =
       scen_kind ~n:1 Sensor.Gps 0.5;
     ]
   in
-  List.iter
-    (fun scenario ->
-      let cached = Prefix_cache.execute cache ~scenario in
-      let sim = make_sim ~scenario in
-      let passed = Workload.execute workload sim in
-      let cold = Sim.outcome sim ~workload_passed:passed in
-      check_same_outcome "cached = cold" cold cached)
-    scenarios;
+  let misses () = (Prefix_cache.stats cache).Prefix_cache.misses in
+  let new_misses =
+    List.map
+      (fun scenario ->
+        let before = misses () in
+        let cached = Prefix_cache.execute cache ~scenario in
+        let sim = make_sim ~scenario in
+        let passed = Workload.execute workload sim in
+        let cold = Sim.outcome sim ~workload_passed:passed in
+        check_same_outcome "cached = cold" cold cached;
+        misses () - before)
+      scenarios
+  in
   let stats = Prefix_cache.stats cache in
   Alcotest.(check bool) "served hits" true (stats.Prefix_cache.hits >= 4);
-  Alcotest.(check int) "early fault misses" 1 stats.Prefix_cache.misses;
+  (* The first run finds an empty cache; every later one but the 0.5 s
+     fault forks from a checkpoint an earlier run left. *)
+  Alcotest.(check int) "first run into an empty cache misses" 1
+    (List.hd new_misses);
+  Alcotest.(check int) "early fault misses" 1
+    (List.nth new_misses (List.length new_misses - 1));
+  Alcotest.(check int) "no other misses" 2 stats.Prefix_cache.misses;
   Alcotest.(check bool) "skipped simulated time" true
     (stats.Prefix_cache.saved_sim_s > 0.0)
+
+(* There is no separate clean run: the clean prefix is whatever faulty runs
+   flew before their first fault. So faults landing exactly on capture
+   times — a sensor fault and an outage on the one-second grid — must not
+   leak into the empty-key checkpoints their runs leave, and a clean run
+   executed after them must fork from those checkpoints bit-identically. *)
+let test_prefix_cache_clean_from_faulty_runs () =
+  let workload = Workload.quickstart and policy = Policy.apm in
+  let make_sim ~scenario =
+    Sim.create
+      ~plan:(Scenario.to_plan scenario)
+      ~link_outages:(Scenario.link_outages scenario)
+      (sim_config workload policy)
+  in
+  let cache =
+    Prefix_cache.create ~workload ~make_sim
+      ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
+      ()
+  in
+  let hits () = (Prefix_cache.stats cache).Prefix_cache.hits in
+  let run scenario =
+    let cached = Prefix_cache.execute cache ~scenario in
+    let sim = make_sim ~scenario in
+    let passed = Workload.execute workload sim in
+    check_same_outcome "cached = cold"
+      (Sim.outcome sim ~workload_passed:passed)
+      cached
+  in
+  run (Scenario.of_faults [ Scenario.link_loss ~at:20.0 ~duration:3.0 ]);
+  run (scen_kind ~n:1 Sensor.Barometer 12.0);
+  let before = hits () in
+  run Scenario.empty;
+  Alcotest.(check int) "clean run forked from a faulty run's prefix" 1
+    (hits () - before);
+  run (scen_kind Sensor.Gps 25.0)
 
 (* Satellite regression: configurations whose runs carry state the cache
    key cannot encode — sensor degradations, probabilistic link faults —
@@ -326,6 +372,8 @@ let () =
       ( "prefix cache",
         [
           Alcotest.test_case "cache transparent" `Slow test_prefix_cache_transparent;
+          Alcotest.test_case "clean prefix from faulty runs" `Slow
+            test_prefix_cache_clean_from_faulty_runs;
           Alcotest.test_case "cache bypasses unencodable configs" `Slow
             test_prefix_cache_bypasses_unencodable;
           Alcotest.test_case "eviction keeps bytes bounded" `Slow

@@ -531,6 +531,50 @@ let test_store_shared_across_instances () =
   Alcotest.(check bool) "second instance skipped simulated time" true
     (s2.Prefix_cache.saved_sim_s > 0.0)
 
+(* Regression: a fresh instance must fork each scenario from the
+   checkpoint the first instance wrote under that scenario's own fault
+   prefix, not from the clean prefix just before the shared first fault.
+   The scenarios have the shape a SABRE campaign produces — first faults
+   at one time, no empty scenario — so the clean prefix ends at 12.5 s and
+   everything after it is per-scenario. *)
+let test_store_serves_own_prefix () =
+  with_temp_dir @@ fun store_dir ->
+  let scenarios =
+    [
+      Scenario.of_faults
+        [
+          Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 0 } 12.5;
+          Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 1 } 12.5;
+        ];
+      Scenario.of_faults
+        [ Scenario.sensor_fault { Sensor.kind = Sensor.Barometer; index = 0 } 12.5 ];
+    ]
+  in
+  let cache1, _, _ = quickstart_cache ~store_dir in
+  List.iter (fun scenario -> ignore (Prefix_cache.execute cache1 ~scenario)) scenarios;
+  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  let saved () = (Prefix_cache.stats cache2).Prefix_cache.saved_sim_s in
+  let resimulated =
+    List.map
+      (fun scenario ->
+        let before = saved () in
+        let served = Prefix_cache.execute cache2 ~scenario in
+        let sim = make_sim ~scenario in
+        let passed = Workload.execute workload sim in
+        check_same_outcome "served = cold" (Sim.outcome sim ~workload_passed:passed)
+          served;
+        (served.Sim.duration, served.Sim.duration -. (saved () -. before)))
+      scenarios
+  in
+  Alcotest.(check int) "every scenario served from the store" 2
+    (Prefix_cache.stats cache2).Prefix_cache.store_hits;
+  List.iteri
+    (fun i (duration, resim) ->
+      if resim > 1.0 then
+        Alcotest.failf "scenario %d re-simulated %.2f s of %.2f s (grid 1 s)" i
+          resim duration)
+    resimulated
+
 let test_store_vandalised_dir_still_identical () =
   with_temp_dir @@ fun store_dir ->
   let cache1, make_sim1, workload1 = quickstart_cache ~store_dir in
@@ -589,6 +633,8 @@ let () =
         [
           Alcotest.test_case "fresh instance serves from disk" `Slow
             test_store_shared_across_instances;
+          Alcotest.test_case "fresh instance forks each scenario's own prefix"
+            `Slow test_store_serves_own_prefix;
           Alcotest.test_case "vandalised store still identical" `Slow
             test_store_vandalised_dir_still_identical;
         ] );
