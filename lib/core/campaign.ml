@@ -206,8 +206,34 @@ let execute_run config ~seed ~scenario =
   let passed = Workload.execute config.workload sim in
   Sim.outcome sim ~workload_passed:passed
 
-let profile_and_context config =
-  Avis_util.Trace.span ~cat:"campaign" "campaign.profile" @@ fun () ->
+(* The golden runs' own identity: the simulator configuration at the
+   profile seed (run i flies at [seed + i]), the workload and the run
+   count. The store adds its code fingerprint. *)
+let profile_key (config : config) =
+  let b = Buffer.create 256 in
+  Sim.encode_config b (sim_cfg_of config ~seed:config.seed);
+  Buffer.add_char b '\x00';
+  Buffer.add_string b config.workload.Workload.name;
+  Buffer.add_char b '\x00';
+  Buffer.add_int64_le b (Int64.of_int config.profiling_runs);
+  Buffer.contents b
+
+let encode_profile outcomes =
+  Avis_util.Codec.(to_string (fun b -> w_list b Sim.encode_outcome) outcomes)
+
+(* The stored golden runs, or [None] when absent, undecodable or of the
+   wrong count — each of which re-flies them. *)
+let stored_profile store (config : config) =
+  Option.bind (Checkpoint_store.lookup_profile store ~key:(profile_key config))
+    (fun payload ->
+      match
+        Avis_util.Codec.(of_string (fun r -> r_list r Sim.decode_outcome) payload)
+      with
+      | outcomes when List.length outcomes = config.profiling_runs ->
+        Some outcomes
+      | _ | (exception Avis_util.Codec.Corrupt _) -> None)
+
+let fly_profile ?store (config : config) =
   let outcomes =
     List.init config.profiling_runs (fun i ->
         execute_run config ~seed:(config.seed + i) ~scenario:Scenario.empty)
@@ -220,33 +246,64 @@ let profile_and_context config =
              "profiling run %d of %s on %s did not complete cleanly" i
              config.workload.Workload.name config.policy.Policy.name))
     outcomes;
-  let profile = Monitor.build_profile outcomes in
-  let first = List.hd outcomes in
-  let rng = Avis_util.Rng.create (config.seed * 7919) in
-  let ctx =
-    Search.context_of_outcome ~rng
-      ~suite_complement:Avis_sensors.Suite.iris_complement first
+  Option.iter
+    (fun store ->
+      Checkpoint_store.put_profile store ~key:(profile_key config)
+        ~payload:(encode_profile outcomes))
+    store;
+  outcomes
+
+(* Served or flown, the golden runs are the same bytes, and the monitor
+   and search context are rebuilt from them the same way. *)
+let profile_and_context ?store config =
+  let of_outcomes outcomes =
+    let profile = Monitor.build_profile outcomes in
+    let first = List.hd outcomes in
+    let rng = Avis_util.Rng.create (config.seed * 7919) in
+    let ctx =
+      Search.context_of_outcome ~rng
+        ~suite_complement:Avis_sensors.Suite.iris_complement first
+    in
+    (profile, ctx, first)
   in
-  (profile, ctx, first)
+  (* Opened before the read so the span covers it, and closed only on a
+     serve: a miss leaves no [store.profile] span, only the flight's. *)
+  let served = Avis_util.Trace.begin_span ~cat:"store" "store.profile" in
+  match Option.bind store (fun store -> stored_profile store config) with
+  | Some outcomes ->
+    let result = of_outcomes outcomes in
+    Avis_util.Trace.end_span served;
+    result
+  | None ->
+    Avis_util.Trace.span ~cat:"campaign" "campaign.profile" @@ fun () ->
+    of_outcomes (fly_profile ?store config)
+
+let test_sim config ~scenario =
+  sim_config config ~seed:(test_seed config) ~scenario
+
+(* The persistent tier of [config]'s test runs, opened once per cell. *)
+let open_store ?store_dir (config : config) =
+  Prefix_cache.open_store ?store_dir ~workload:config.workload
+    ~make_sim:(test_sim config) ()
 
 (* The one cache constructor. It provisions with the exact test config,
    which is what keeps cached outcomes bit-identical to cold ones, and
    checkpoints at [transitions] (where the strategies schedule injections)
    plus a one-second grid below the simulator's cap, so faults at observed
    — not just profiled — transition times also land near a snapshot. *)
-let cache_of ?store_dir config ~transitions =
+let cache_of ?store config ~transitions =
   let dur = max_sim_duration config in
   let grid = List.init (int_of_float dur) (fun i -> float_of_int (i + 1)) in
-  Prefix_cache.create ?store_dir ~workload:config.workload
-    ~make_sim:(fun ~scenario ->
-      sim_config config ~seed:(test_seed config) ~scenario)
+  Prefix_cache.create ?store ~workload:config.workload
+    ~make_sim:(test_sim config)
     ~checkpoint_times:(transitions @ List.filter (fun t -> t < dur) grid)
     ()
 
 (* Shareable across campaigns of the same config: grid checkpoints only,
    since the profiled transition times are not known until [run]
    profiles. *)
-let make_cache ?store_dir config = cache_of ?store_dir config ~transitions:[]
+let make_cache ?store_dir config =
+  cache_of ?store:(open_store ?store_dir config) config ~transitions:[]
 
 (* Canonical identity of one campaign cell, the config half of its
    journal key: the exact test-run simulator configuration (policy, bugs,
@@ -380,7 +437,16 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
   let gc_majors () =
     (Gc.quick_stat ()).Gc.major_collections - gc0.Gc.major_collections
   in
-  let profile, ctx, _first = profile_and_context config in
+  (* One store handle per cell: the golden profile is read through it
+     before the cache that will use it for checkpoints exists. *)
+  let store =
+    if not config.prefix_cache then None
+    else
+      match cache with
+      | Some c -> Prefix_cache.store c
+      | None -> open_store config
+  in
+  let profile, ctx, _first = profile_and_context ?store config in
   let searcher = strategy ctx in
   let approach =
     match journal_approach with Some a -> a | None -> searcher.Search.name
@@ -401,7 +467,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
         cache
       | None ->
         Some
-          (cache_of config
+          (cache_of ?store config
              ~transitions:(List.map (fun (t, _, _) -> t) ctx.Search.transitions))
   in
   let run_scenario scenario =

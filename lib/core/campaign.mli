@@ -77,10 +77,19 @@ type result = {
 }
 
 val profile_and_context :
-  config -> Monitor.profile * Search.context * Avis_sitl.Sim.outcome
+  ?store:Checkpoint_store.t ->
+  config ->
+  Monitor.profile * Search.context * Avis_sitl.Sim.outcome
 (** Run the profiling phase only; also returns the first profiling run's
-    outcome (the one the search context is built from). Raises [Failure]
-    if a profiling run does not complete cleanly. *)
+    outcome (the one the search context is built from). With a [store],
+    the golden runs are first read from it, keyed by the profile's own
+    identity (fingerprint, simulator configuration at [config.seed],
+    workload, [profiling_runs]); they are flown only when absent or
+    corrupt, and then written back. Either way the monitor profile and the
+    search context (with its own fresh RNG) are rebuilt from the same
+    bytes, so the result is bit-identical to flying them. A store serve is
+    traced as a [store.profile] span, a flight as [campaign.profile].
+    Raises [Failure] if a profiling run does not complete cleanly. *)
 
 val make_cache : ?store_dir:string -> config -> Prefix_cache.t
 (** A prefix cache bound to [config]'s test runs (exact seed and sim
@@ -93,7 +102,8 @@ val make_cache : ?store_dir:string -> config -> Prefix_cache.t
     [AVIS_STORE_DIR] environment variable) additionally persists the
     checkpoints to a content-addressed on-disk store shared across
     processes — see {!Prefix_cache.create}; the content address keys by
-    config, so one store directory can safely serve many configs. *)
+    config, so one store directory can safely serve many configs. {!run}
+    also reads and writes the golden profile through that store. *)
 
 val run :
   ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) ->
@@ -106,7 +116,11 @@ val run :
     completion; campaign runners use it to emit live metrics. [cache]
     (used only when [config.prefix_cache] is set) substitutes an external
     snapshot cache from {!make_cache} for the internally built one — see
-    {!make_cache} for the sharing rules. The campaign never spends past
+    {!make_cache} for the sharing rules. The cell opens at most one
+    checkpoint store — the shared cache's, else its own from
+    [AVIS_STORE_DIR] — before profiling, and uses it for the golden
+    profile ({!profile_and_context}) and the test runs' checkpoints alike.
+    The campaign never spends past
     [budget_s]: affordability is checked against the simulator's duration
     cap before each run, and the ledger saturates at the budget.
 

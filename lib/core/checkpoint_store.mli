@@ -4,7 +4,10 @@
     die with the process. The store persists them to a directory shared
     across processes and runs: a campaign re-run with the same binary,
     configuration and seed forks from checkpoints written by an earlier
-    process instead of re-simulating its clean prefix.
+    process instead of re-simulating its clean prefix. It also keeps each
+    campaign's golden profiling runs ({!lookup_profile}), so a second
+    process judges its runs against the same monitor without flying them
+    again.
 
     {2 Key anatomy}
 
@@ -26,27 +29,36 @@
     Runs agree on a key only when their histories are bit-identical, which
     is exactly when serving the stored snapshot is sound.
 
+    A profile file ([.prof]) is addressed by the MD5 of the code
+    fingerprint and the caller's own identity bytes for the profile; the
+    handle's config bytes play no part, so the profile's key carries its
+    own seed, not the test runs'.
+
     {2 Durability and corruption}
 
-    Files are written to a temp name and atomically renamed into place, so
-    concurrent writers and crashed processes never leave a partial file
-    under a valid key. Every file carries a checksum header; a truncated,
-    bit-flipped or otherwise malformed file is detected at read time,
-    deleted, and reported as [None] — a corrupt store can cost wall-clock,
-    never a wrong outcome.
+    Files are written to a temp name unique within the process and
+    atomically renamed into place, so concurrent writers — other processes
+    or other handles of this one on parallel domains — and crashed
+    processes never leave a partial or foreign file under a valid key.
+    Every file carries a header (format version 2) whose checksum covers
+    the file's own name as well as its payload: a truncated, bit-flipped or
+    otherwise malformed file, and a whole file that ended up under another
+    key's name, is detected at read time, deleted, and reported as [None].
+    Files of the version-1 format read as corrupt and are deleted the same
+    way. A corrupt store can cost wall-clock, never a wrong outcome.
 
     {2 Eviction}
 
     The store is bounded by [store_mb] (default the [AVIS_STORE_MB]
     environment variable, else 1024 MiB). When the directory exceeds the
-    budget, files are deleted oldest-mtime-first — equal mtimes (coarse
-    filesystem timestamp granularity) are broken deterministically by path
-    order, so the surviving set does not depend on the filesystem; serving
-    a checkpoint touches its mtime, making the policy LRU across
-    processes.
+    budget, files (checkpoints and profiles alike) are deleted
+    oldest-mtime-first — equal mtimes (coarse filesystem timestamp
+    granularity) are broken deterministically by path order, so the
+    surviving set does not depend on the filesystem; serving a file
+    touches its mtime, making the policy LRU across processes.
 
     All I/O failures degrade to cache misses; the store never raises out of
-    [put]/[lookup]. *)
+    [put]/[lookup] and their profile counterparts. *)
 
 type t
 
@@ -67,10 +79,33 @@ val put : t -> fault_key:string -> time:float -> payload:string Lazy.t -> unit
     exact key and time already exists. Failures are silently ignored (the
     in-memory cache is unaffected). *)
 
+val lookup_latest :
+  ?after:float ->
+  t ->
+  windows:(string * float) list ->
+  (string * float * string) option
+(** The latest stored checkpoint over several fault keys at once, as
+    [(fault_key, time, payload)]: each window [(fault_key, before)] admits
+    the checkpoints under [fault_key] taken strictly before [before], and
+    only those taken strictly after [after] (default [neg_infinity]) are
+    considered. The winner is chosen by file name from one directory
+    listing; only it is read, verified and LRU-touched (its mtime
+    refreshed). A corrupt winner is deleted and the next candidate tried.
+    Equal times go to the earlier window. *)
+
 val lookup : t -> fault_key:string -> before:float -> (float * string) option
-(** The latest stored checkpoint under [fault_key] taken strictly before
-    [before], with its capture time. Corrupt candidates are deleted and
-    skipped. Serving a file refreshes its mtime (LRU touch). *)
+(** [lookup_latest] over the single window [(fault_key, before)], as
+    [(time, payload)]. *)
+
+val lookup_profile : t -> key:string -> string option
+(** The profile payload stored under the identity bytes [key], verified
+    and LRU-touched; [None] when absent or corrupt (a corrupt file is
+    deleted). Not counted in {!stats}' hits and misses, which count
+    scenario forks only. *)
+
+val put_profile : t -> key:string -> payload:string -> unit
+(** Persist a profile under [key], replacing any file already there.
+    Failures are silently ignored. *)
 
 val count_hit : t -> unit
 (** Record that a [lookup] result was actually served. *)

@@ -69,43 +69,45 @@ let budget_bytes_of ?cache_mb () =
   in
   mb * 1024 * 1024
 
-let create ?cache_mb ?store_dir ?store_mb ~workload ~make_sim
-    ~checkpoint_times () =
-  let ts =
-    List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
-  in
-  (* Probe the provisioner once: degradations persist mutable per-driver
-     state that [Sim.restore] cannot substitute, and a probabilistic link
-     profile consumes fault randomness per chunk, so a forked run would
-     diverge from a cold one. Neither appears in the cache key, so such
-     configs must bypass the cache entirely. *)
-  let probe = make_sim ~scenario:Scenario.empty in
-  let bypass =
-    Avis_hinj.Hinj.degradations (Sim.hinj probe) <> []
-    || Link.probabilistic (Link.profile (Sim.link probe))
-  in
+(* Degradations persist mutable per-driver state that [Sim.restore] cannot
+   substitute, and a probabilistic link profile consumes fault randomness
+   per chunk, so a forked run would diverge from a cold one. Neither
+   appears in the cache key, so such configs must bypass the cache
+   entirely. *)
+let uncacheable probe =
+  Avis_hinj.Hinj.degradations (Sim.hinj probe) <> []
+  || Link.probabilistic (Link.profile (Sim.link probe))
+
+let open_store ?store_dir ?store_mb ~workload ~make_sim () =
   let store_dir =
     match store_dir with
     | Some _ -> store_dir
     | None -> Sys.getenv_opt "AVIS_STORE_DIR"
   in
-  let store =
-    match store_dir with
-    | Some dir when dir <> "" && not bypass ->
+  match store_dir with
+  | Some dir when dir <> "" ->
+    let probe = make_sim ~scenario:Scenario.empty in
+    if uncacheable probe then None
+    else
       (* The store's configuration identity: the canonical config bytes
          plus the workload name — two campaigns whose runs could ever
          diverge must never share a key. *)
       let config_key =
-        Sim.config_to_bytes (Sim.config probe)
-        ^ "\x00" ^ workload.Workload.name
+        Sim.config_to_bytes (Sim.config probe) ^ "\x00" ^ workload.Workload.name
       in
       Some (Checkpoint_store.create ?store_mb ~dir ~config_key ())
-    | _ -> None
+  | _ -> None
+
+let create ?cache_mb ?store ~workload ~make_sim ~checkpoint_times () =
+  let ts =
+    List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
   in
+  (* Probe the provisioner once to detect uncacheable configurations. *)
+  let bypass = uncacheable (make_sim ~scenario:Scenario.empty) in
   {
     workload;
     make_sim;
-    store;
+    store = (if bypass then None else store);
     bypass;
     targets = (if bypass then [||] else Array.of_list ts);
     entries = Hashtbl.create 64;
@@ -120,6 +122,7 @@ let create ?cache_mb ?store_dir ?store_mb ~workload ~make_sim
   }
 
 let bypassing t = t.bypass
+let store t = t.store
 
 (* Fault activation ([Hinj.is_failed]) is judged against the firmware's own
    accumulated clock ([Vehicle.time]), not the step-derived [Sim.time]; the
@@ -271,70 +274,77 @@ let compare_for_prefix a b =
   | 0 -> compare (encode_fault a) (encode_fault b)
   | c -> c
 
-(* The latest checkpoint this scenario can fork from, as [(key, time, v)]
-   where [find ~key ~before] is one tier's latest checkpoint under [key]
-   taken strictly before [before]. With the faults sorted by activation
-   time, each prefix of j faults is a candidate key; a checkpoint under it
-   is sound iff it was taken strictly before the (j+1)-th fault activates
+(* The checkpoints this scenario can fork from, as windows
+   [(key, before)]: with the faults sorted by activation time, each prefix
+   of j faults is a candidate key, and a checkpoint under it is sound iff
+   it was taken strictly before the (j+1)-th fault activates
    ([Hinj.is_failed] activates at [at <= time], and an outage opens at the
    first step of its window, so equality would already differ). Entries
    under a key necessarily postdate every fault in it, so the window is
    the only check needed. *)
-let best_prefix ~scenario ~find =
+let prefix_windows scenario =
   let faults = Array.of_list (List.sort compare_for_prefix scenario) in
   let k = Array.length faults in
-  let best = ref None in
-  for j = 0 to k do
-    let before = if j = k then infinity else Scenario.fault_time faults.(j) in
-    let key = encode_faults (Array.to_list (Array.sub faults 0 j)) in
-    match find ~key ~before with
-    | Some (time, v) -> (
-      match !best with
-      | Some (_, best_time, _) when best_time >= time -> ()
-      | _ -> best := Some (key, time, v))
-    | None -> ()
-  done;
-  !best
+  List.init (k + 1) (fun j ->
+      ( encode_faults (Array.to_list (Array.sub faults 0 j)),
+        if j = k then infinity else Scenario.fault_time faults.(j) ))
 
-let lookup t ~scenario =
+(* Memory's latest checkpoint over [windows]. A key's entries are
+   latest-first, so the first in-window one is its best; on equal times
+   the shorter prefix wins. *)
+let lookup t ~windows =
   Avis_util.Trace.span ~cat:"cache" "cache.lookup" @@ fun () ->
-  (* A key's entries are latest-first: the first in-window one is its best. *)
-  let find ~key ~before =
-    Option.bind (Hashtbl.find_opt t.entries key) (fun es ->
-        Option.map
-          (fun e -> (e.time, e))
-          (List.find_opt (fun e -> e.time < before) es))
-  in
-  Option.map (fun (_, _, e) -> e) (best_prefix ~scenario ~find)
+  List.fold_left
+    (fun best (key, before) ->
+      match Hashtbl.find_opt t.entries key with
+      | None -> best
+      | Some es -> (
+        match (List.find_opt (fun e -> e.time < before) es, best) with
+        | Some e, Some b when b.time >= e.time -> best
+        | Some e, _ -> Some e
+        | None, _ -> best))
+    None windows
 
-(* The persistent fallback to [lookup]: the same prefix scan, against files
-   written by this or any earlier process. A served checkpoint is decoded
-   and made resident, so the disk is touched once per prefix, not once per
-   scenario. Every consultation counts as one store hit or miss. *)
-let store_lookup t ~scenario =
-  match t.store with
+(* The persistent tier, consulted for a checkpoint strictly later than
+   [after] (memory's best): the store picks its winner by file name from
+   one listing, so no payload is read unless it beats memory. A served
+   checkpoint is decoded and made resident, so the disk is touched once per
+   prefix, not once per scenario. *)
+let store_lookup t store ~windows ~after =
+  Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
+  match Checkpoint_store.lookup_latest store ~after ~windows with
   | None -> None
+  | Some (key, time, payload) -> (
+    match snaps_of_payload payload with
+    | exception Avis_util.Codec.Corrupt _ ->
+      (* The frame checksum held but the payload didn't decode (e.g. a
+         foreign format revision): treat as a miss; the fingerprint in the
+         key makes this all but impossible for files we wrote. *)
+      None
+    | sim_snap, stepper_snap ->
+      Some (add_entry t ~key ~time ~sim_snap ~stepper_snap))
+
+(* Memory first; the store serves when its best is strictly later. A
+   scenario the store serves counts as a store hit, one no tier serves as
+   a store miss. *)
+let find t ~scenario =
+  let windows = prefix_windows scenario in
+  let in_memory = lookup t ~windows in
+  match t.store with
+  | None -> in_memory
   | Some store ->
-    Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
-    let found =
-      match
-        best_prefix ~scenario ~find:(fun ~key ~before ->
-            Checkpoint_store.lookup store ~fault_key:key ~before)
-      with
-      | None -> None
-      | Some (key, time, payload) -> (
-        match snaps_of_payload payload with
-        | exception Avis_util.Codec.Corrupt _ ->
-          (* The frame checksum held but the payload didn't decode (e.g. a
-             foreign format revision): treat as a miss; the fingerprint in
-             the key makes this all but impossible for files we wrote. *)
-          None
-        | sim_snap, stepper_snap ->
-          Some (add_entry t ~key ~time ~sim_snap ~stepper_snap))
+    let after =
+      match in_memory with Some e -> e.time | None -> neg_infinity
     in
-    (match found with
-    | Some _ -> Checkpoint_store.count_hit store
-    | None -> Checkpoint_store.count_miss store);
+    let found =
+      match store_lookup t store ~windows ~after with
+      | Some _ as e ->
+        Checkpoint_store.count_hit store;
+        e
+      | None ->
+        if Option.is_none in_memory then Checkpoint_store.count_miss store;
+        in_memory
+    in
     note_store store;
     found
 
@@ -367,13 +377,8 @@ let run_capturing t ~scenario sim st =
   go 0
 
 let execute t ~scenario =
-  let found =
-    match lookup t ~scenario with
-    | Some _ as e -> e
-    | None -> store_lookup t ~scenario
-  in
   let sim, st =
-    match found with
+    match find t ~scenario with
     | Some e ->
       t.hits <- t.hits + 1;
       Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);

@@ -32,10 +32,26 @@
 
 type t
 
-val create :
-  ?cache_mb:int ->
+val open_store :
   ?store_dir:string ->
   ?store_mb:int ->
+  workload:Workload.t ->
+  make_sim:(scenario:Scenario.t -> Avis_sitl.Sim.t) ->
+  unit ->
+  Checkpoint_store.t option
+(** The persistent tier for a cache of [make_sim]'s runs (the same
+    provisioner {!create} gets): a {!Checkpoint_store} rooted at
+    [store_dir] (default the [AVIS_STORE_DIR] environment variable, else no
+    store), keyed by the code fingerprint, the runs' canonical
+    configuration bytes and the workload. [store_mb] bounds the directory
+    (default [AVIS_STORE_MB], else 1024 MiB). [None] when no directory is
+    configured (then [make_sim] is not called) or the configuration is
+    uncacheable (see {!bypassing}). Open it once per cell and hand it to
+    {!create}: each open scans the directory. *)
+
+val create :
+  ?cache_mb:int ->
+  ?store:Checkpoint_store.t ->
   workload:Workload.t ->
   make_sim:(scenario:Scenario.t -> Avis_sitl.Sim.t) ->
   checkpoint_times:float list ->
@@ -57,27 +73,27 @@ val create :
     unconditionally. Eviction only costs future wall-clock (the evicted
     prefix re-simulates cold) — outcomes are unaffected.
 
-    [store_dir] (default the [AVIS_STORE_DIR] environment variable, else
-    no store) adds a persistent tier behind the in-memory one: a
-    {!Checkpoint_store} rooted there, keyed by the campaign's code
-    fingerprint, canonical configuration bytes, workload and fault
-    history. Captures are written through (lazily — nothing is serialised
-    when the file already exists), and a scenario memory cannot serve
-    falls back to the store before running cold: the same prefix scan over
-    the files, so a fresh process forks each scenario from the latest
-    checkpoint any earlier process wrote under that scenario's own fault
-    prefix. Memory stays the first tier: a scenario memory serves does not
-    consult the store. Stored checkpoints are served only on bit-exact key
-    matches, so outcomes remain bit-identical to cold runs, across
-    processes. [store_mb]
-    bounds the store directory (default [AVIS_STORE_MB], else 1024 MiB);
-    bypassing configurations never open a store. *)
+    [store] (from {!open_store} on the same provisioning) adds a
+    persistent tier behind the in-memory one. Captures are written through
+    (lazily — nothing is serialised when the file already exists). Each
+    scenario is served from the later of memory's best checkpoint and the
+    store's: the same prefix scan over the files, whose winner is picked by
+    name and read only when strictly later than memory's, so a fresh
+    process forks each scenario from the latest checkpoint any earlier
+    process wrote under that scenario's own fault prefix. Stored
+    checkpoints are served only on bit-exact key matches, so outcomes
+    remain bit-identical to cold runs, across processes. A bypassing
+    configuration ignores [store]. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
-(** Run one scenario, forking from the best applicable checkpoint — clean
-    or faulty-prefix, in memory or else in the store — when one exists, and
+(** Run one scenario, forking from the latest applicable checkpoint — clean
+    or faulty-prefix, in memory or in the store — when one exists, and
     cold otherwise, checkpointing its own prefixes as it runs. Either way
     the outcome is bit-identical to a cold run. *)
+
+val store : t -> Checkpoint_store.t option
+(** The persistent tier given to {!create}; [None] when there is none or
+    the cache bypasses. *)
 
 val bypassing : t -> bool
 (** True when the provisioned runs carry state the cache key cannot encode
@@ -93,8 +109,9 @@ type stats = {
   evictions : int;  (** Checkpoints dropped to stay within the budget. *)
   resident_bytes : int;  (** Current accounted checkpoint bytes. *)
   store_hits : int;
-      (** Scenarios memory could not serve that were forked from the
-          persistent store; 0 when no store is configured. *)
+      (** Scenarios forked from the persistent store because its
+          checkpoint was later than memory's best (or memory had none);
+          0 when no store is configured. *)
   store_misses : int;
       (** Scenarios neither memory nor the store could serve; equal to
           [misses] when a store is configured. *)

@@ -64,6 +64,13 @@ val restore : ?plan:plan -> snapshot -> t
 val encode_snapshot : Buffer.t -> snapshot -> unit
 val decode_snapshot : Avis_util.Codec.reader -> snapshot
 
+val encode_transition : Buffer.t -> transition -> unit
+(** One mode-log entry, its time by IEEE-754 bits. *)
+
+val decode_transition : Avis_util.Codec.reader -> transition
+(** Inverse of {!encode_transition}; raises [Avis_util.Codec.Corrupt] on
+    malformed input. *)
+
 val to_bytes : snapshot -> string
 (** Versioned binary form of a snapshot: plan, degradations, mode log and
     read counter. *)

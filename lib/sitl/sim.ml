@@ -319,3 +319,40 @@ let decode_snapshot r : snapshot =
 
 let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
 let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
+
+(* Only clean outcomes travel: the crash flag is written so that a crashed
+   or failed run decodes as corrupt instead of losing its contact event. *)
+let encode_outcome b (o : outcome) =
+  let open Avis_util.Codec in
+  w_version b 1;
+  w_bool b o.workload_passed;
+  w_bool b (o.crash <> None);
+  w_bool b o.fence_breached;
+  w_bytes b (Trace.to_bytes (Trace.snapshot o.trace));
+  w_list b Avis_hinj.Hinj.encode_transition o.transitions;
+  w_list b Bug.encode_id o.triggered_bugs;
+  w_f64 b o.duration;
+  w_int b o.sensor_reads
+
+let decode_outcome r : outcome =
+  let open Avis_util.Codec in
+  let (_ : int) = r_version r ~expect:1 in
+  let workload_passed = r_bool r in
+  let crashed = r_bool r in
+  if crashed || not workload_passed then corrupt "not a clean outcome";
+  let fence_breached = r_bool r in
+  let trace = Trace.restore (Trace.of_bytes (r_bytes r)) in
+  let transitions = r_list r Avis_hinj.Hinj.decode_transition in
+  let triggered_bugs = r_list r Bug.decode_id in
+  let duration = r_f64 r in
+  let sensor_reads = r_int r in
+  {
+    trace;
+    crash = None;
+    fence_breached;
+    workload_passed;
+    transitions;
+    triggered_bugs;
+    duration;
+    sensor_reads;
+  }

@@ -136,3 +136,14 @@ val to_bytes : snapshot -> string
 val of_bytes : string -> snapshot
 (** Inverse of {!to_bytes}. Raises [Avis_util.Codec.Corrupt] on malformed
     or truncated input (a decoded snapshot is usable with {!restore}). *)
+
+val encode_outcome : Buffer.t -> outcome -> unit
+(** Bit-exact binary form of an outcome, for the golden profiling runs the
+    checkpoint store keeps. Only clean outcomes (no crash, workload passed)
+    decode: the contact event is not stored, so any other outcome decodes
+    as corrupt. *)
+
+val decode_outcome : Avis_util.Codec.reader -> outcome
+(** Inverse of {!encode_outcome}. Raises [Avis_util.Codec.Corrupt] on
+    malformed input and on an outcome that crashed or failed its
+    workload. *)

@@ -190,6 +190,56 @@ let test_of_bytes_rejects_garbage () =
   | exception Avis_util.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated snapshot decoded")
 
+(* Golden profiling runs travel through [Sim.encode_outcome]: every field
+   must come back, floats by their bits (transition times included, which
+   [fingerprint] compares with [=]). *)
+let outcome_bits (o : Sim.outcome) =
+  ( fingerprint o,
+    List.map
+      (fun (tr : Avis_hinj.Hinj.transition) ->
+        Int64.bits_of_float tr.Avis_hinj.Hinj.time)
+      o.Sim.transitions )
+
+let clean_outcome = lazy (cold_run Workload.quickstart Policy.apm)
+let encode_outcome o = Avis_util.Codec.to_string Sim.encode_outcome o
+let decode_outcome s = Avis_util.Codec.of_string Sim.decode_outcome s
+
+let test_outcome_roundtrip () =
+  let o = Lazy.force clean_outcome in
+  Alcotest.(check bool) "fixture is clean" true
+    (o.Sim.workload_passed && o.Sim.crash = None);
+  let bytes = encode_outcome o in
+  let decoded = decode_outcome bytes in
+  Alcotest.(check bool) "every field, floats by bits" true
+    (outcome_bits o = outcome_bits decoded);
+  Alcotest.(check bool) "codec canonical" true
+    (String.equal (encode_outcome decoded) bytes)
+
+let test_outcome_rejects_damage () =
+  let o = Lazy.force clean_outcome in
+  let bytes = encode_outcome o in
+  let corrupt name s =
+    match decode_outcome s with
+    | exception Avis_util.Codec.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s decoded" name
+  in
+  let n = String.length bytes in
+  List.iter
+    (fun cut -> corrupt (Printf.sprintf "truncated to %d of %d" cut n)
+        (String.sub bytes 0 cut))
+    (List.sort_uniq compare
+       (List.init 64 (fun i -> i * n / 64) @ [ 1; 2; 3; n - 8; n - 1 ]));
+  (* Version byte, then the passed and crash flags. *)
+  List.iter
+    (fun at ->
+      let b = Bytes.of_string bytes in
+      Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+      corrupt (Printf.sprintf "byte %d flipped" at) (Bytes.to_string b))
+    [ 0; 1; 2 ];
+  corrupt "failed workload" (encode_outcome { o with Sim.workload_passed = false });
+  corrupt "crashed run"
+    (encode_outcome { o with Sim.crash = Some Avis_physics.World.Tipover })
+
 (* ------------------------------------------------------------------ *)
 (* Hostile snapshot bytes                                               *)
 (* ------------------------------------------------------------------ *)
@@ -255,6 +305,24 @@ let qcheck_fuzz_bitflip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
       only_corrupt (Bytes.to_string b))
 
+let qcheck_fuzz_outcome =
+  QCheck.Test.make ~count:120 ~name:"bit-flipped outcome bytes: only Corrupt"
+    QCheck.(pair (float_range 0.0 1.0) (int_range 0 7))
+    (fun (frac, bit) ->
+      let bytes = encode_outcome (Lazy.force clean_outcome) in
+      let i =
+        min (String.length bytes - 1)
+          (int_of_float (frac *. float_of_int (String.length bytes)))
+      in
+      let b = Bytes.of_string bytes in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      match decode_outcome (Bytes.to_string b) with
+      | _ -> true
+      | exception Avis_util.Codec.Corrupt _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "decode_outcome raised %s, not Corrupt"
+          (Printexc.to_string e))
+
 let qcheck_fuzz_random =
   QCheck.Test.make ~count:120 ~name:"random buffers: only Corrupt"
     QCheck.(string_gen_of_size (Gen.int_range 0 512) Gen.char)
@@ -314,15 +382,18 @@ let ckpt_files dir =
   |> List.filter (fun f -> Filename.check_suffix f ".ckpt")
   |> List.map (Filename.concat dir)
 
-let damage_file ~at path =
+let rewrite_byte ~at f path =
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let b = Bytes.of_string data in
-  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0xFF));
+  Bytes.set b at (f (Bytes.get b at));
   let oc = open_out_bin path in
   output_bytes oc b;
   close_out oc
+
+let damage_file ~at = rewrite_byte ~at (fun c -> Char.chr (Char.code c lxor 0xFF))
+let set_byte ~at c = rewrite_byte ~at (fun _ -> c)
 
 let truncate_file ~len path =
   let ic = open_in_bin path in
@@ -351,7 +422,10 @@ let test_store_corruption_is_a_miss () =
   check_damaged "truncated payload" (truncate_file ~len:100);
   check_damaged "bit-flipped payload" (damage_file ~at:60);
   check_damaged "bit-flipped checksum" (damage_file ~at:8);
-  check_damaged "bad magic" (damage_file ~at:0)
+  check_damaged "bad magic" (damage_file ~at:0);
+  (* A file of the version-1 frame, whose checksum did not cover the
+     name, must not be trusted under the version-2 reader. *)
+  check_damaged "version-1 frame" (set_byte ~at:4 '\001')
 
 let test_store_corrupt_newest_falls_back_to_older () =
   with_temp_dir @@ fun dir ->
@@ -473,6 +547,93 @@ let test_cache_mb_guard () =
     (s.Prefix_cache.hits >= 1);
   Alcotest.(check int) "no self-evictions" 0 s.Prefix_cache.evictions
 
+(* Two handles on one directory in one process — cells on parallel
+   domains — must never rename each other's bytes into place: every key
+   ends up with its own payload, and none goes missing. *)
+let test_store_two_domains () =
+  with_temp_dir @@ fun dir ->
+  let keys = 3000 in
+  let key d i = Printf.sprintf "d%d-%d" d i in
+  let payload k = k ^ "|" ^ String.make 64 'p' in
+  let writer d () =
+    let store = make_store ~dir () in
+    for i = 1 to keys do
+      put store ~fault_key:(key d i) ~time:1.0 (payload (key d i))
+    done
+  in
+  let domains = List.map (fun d -> Domain.spawn (writer d)) [ 0; 1 ] in
+  List.iter Domain.join domains;
+  let files = ckpt_files dir in
+  Alcotest.(check int) "no key missing" (2 * keys) (List.length files);
+  (* Read each file back on its own — linked alone into an empty
+     directory, so a lookup lists one entry — under the key its payload
+     names: it must serve exactly that payload. *)
+  with_temp_dir @@ fun alone ->
+  let store = make_store ~dir:alone () in
+  let foreign =
+    List.filter
+      (fun path ->
+        let ic = open_in_bin path in
+        let data = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let stored = String.sub data 29 (String.length data - 29) in
+        let k = String.sub stored 0 (String.index stored '|') in
+        let copy = Filename.concat alone (Filename.basename path) in
+        Unix.link path copy;
+        let served =
+          Checkpoint_store.lookup store ~fault_key:k ~before:infinity
+        in
+        (try Sys.remove copy with Sys_error _ -> ());
+        served <> Some (1.0, stored))
+      files
+  in
+  Alcotest.(check int) "no key holds another key's payload" 0
+    (List.length foreign)
+
+let test_store_misnamed_file_fails_closed () =
+  with_temp_dir @@ fun dir ->
+  let store = make_store ~dir () in
+  put store ~fault_key:"a" ~time:10.0 "payload of a";
+  put store ~fault_key:"b" ~time:10.0 "payload of b";
+  (match List.sort compare (ckpt_files dir) with
+  | [ x; y ] ->
+    (* Whichever file belongs to "a", moving it over the other leaves one
+       file whose bytes were written under a different name. *)
+    Sys.rename x y
+  | l -> Alcotest.failf "expected 2 files, got %d" (List.length l));
+  let served k = Checkpoint_store.lookup store ~fault_key:k ~before:infinity in
+  (match (served "a", served "b") with
+  | None, None -> ()
+  | Some (_, p), None | None, Some (_, p) ->
+    Alcotest.failf "a misnamed file was served: %S" p
+  | Some _, Some _ -> Alcotest.fail "two files served after one was moved");
+  Alcotest.(check int) "the misnamed file is deleted" 0
+    (List.length (ckpt_files dir))
+
+let test_store_profile_roundtrip () =
+  with_temp_dir @@ fun dir ->
+  let store = make_store ~dir () in
+  Alcotest.(check bool) "absent" true
+    (Checkpoint_store.lookup_profile store ~key:"golden" = None);
+  Checkpoint_store.put_profile store ~key:"golden" ~payload:"runs v1";
+  Checkpoint_store.put_profile store ~key:"golden" ~payload:"runs v2";
+  Alcotest.(check (option string)) "latest put served" (Some "runs v2")
+    (Checkpoint_store.lookup_profile store ~key:"golden");
+  Alcotest.(check (option string)) "keys are isolated" None
+    (Checkpoint_store.lookup_profile store ~key:"other");
+  (* Profiles ignore the handle's config key but not the fingerprint. *)
+  let same_build =
+    Checkpoint_store.create ~fingerprint:"fp" ~dir ~config_key:"other-cfg" ()
+  in
+  Alcotest.(check (option string)) "config key plays no part" (Some "runs v2")
+    (Checkpoint_store.lookup_profile same_build ~key:"golden");
+  Alcotest.(check (option string)) "other build cannot see it" None
+    (Checkpoint_store.lookup_profile (make_store ~fingerprint:"fp2" ~dir ())
+       ~key:"golden");
+  let s = Checkpoint_store.stats store in
+  Alcotest.(check (pair int int)) "not counted as hits or misses" (0, 0)
+    (s.Checkpoint_store.hits, s.Checkpoint_store.misses)
+
 (* ------------------------------------------------------------------ *)
 (* Prefix cache over a shared store                                     *)
 (* ------------------------------------------------------------------ *)
@@ -485,7 +646,9 @@ let quickstart_cache ~store_dir =
       ~link_outages:(Scenario.link_outages scenario)
       (sim_config workload policy)
   in
-  ( Prefix_cache.create ~store_dir ~workload ~make_sim
+  ( Prefix_cache.create
+      ?store:(Prefix_cache.open_store ~store_dir ~workload ~make_sim ())
+      ~workload ~make_sim
       ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
       (),
     make_sim,
@@ -575,6 +738,69 @@ let test_store_serves_own_prefix () =
           resim duration)
     resimulated
 
+let gps2_at t =
+  Scenario.of_faults
+    [
+      Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 0 } t;
+      Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 1 } t;
+    ]
+
+let compass_at t =
+  Scenario.of_faults
+    [ Scenario.sensor_fault { Sensor.kind = Sensor.Compass; index = 0 } t ]
+
+(* Regression: a fresh instance whose memory already holds an applicable
+   but early checkpoint must still take the store's much later one. After
+   compass@20 (served from the store's clean@12 and re-captured from
+   there), memory holds clean@12 for gps×2@12.5, while the store holds
+   that scenario's own checkpoints up to its end. *)
+let test_store_beats_worse_memory () =
+  with_temp_dir @@ fun store_dir ->
+  let cache1, _, _ = quickstart_cache ~store_dir in
+  ignore (Prefix_cache.execute cache1 ~scenario:(gps2_at 12.5));
+  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  let stats () = Prefix_cache.stats cache2 in
+  ignore (Prefix_cache.execute cache2 ~scenario:(compass_at 20.0));
+  let hits_before = (stats ()).Prefix_cache.store_hits in
+  let saved_before = (stats ()).Prefix_cache.saved_sim_s in
+  let scenario = gps2_at 12.5 in
+  let served = Prefix_cache.execute cache2 ~scenario in
+  let sim = make_sim ~scenario in
+  let passed = Workload.execute workload sim in
+  check_same_outcome "served = cold" (Sim.outcome sim ~workload_passed:passed)
+    served;
+  Alcotest.(check int) "one more store hit" (hits_before + 1)
+    (stats ()).Prefix_cache.store_hits;
+  let resim =
+    served.Sim.duration -. ((stats ()).Prefix_cache.saved_sim_s -. saved_before)
+  in
+  if resim > 1.0 then
+    Alcotest.failf "gps x2 @ 12.5 re-simulated %.2f s of %.2f s" resim
+      served.Sim.duration
+
+(* A lookup won by a longer fault prefix reads and touches only the
+   winner: the shorter prefix's stored checkpoint keeps its mtime, so
+   files nobody forks from age out of the store first. *)
+let test_store_reads_only_winner () =
+  with_temp_dir @@ fun store_dir ->
+  let scenario = gps2_at 12.5 in
+  let cache1, _, _ = quickstart_cache ~store_dir in
+  ignore (Prefix_cache.execute cache1 ~scenario);
+  let old = 1_000_000_000.0 in
+  List.iter (fun p -> Unix.utimes p old old) (ckpt_files store_dir);
+  let cache2, _, _ = quickstart_cache ~store_dir in
+  ignore (Prefix_cache.execute cache2 ~scenario);
+  Alcotest.(check int) "served from the store" 1
+    (Prefix_cache.stats cache2).Prefix_cache.store_hits;
+  let touched =
+    List.filter
+      (fun p -> (Unix.stat p).Unix.st_mtime <> old)
+      (ckpt_files store_dir)
+  in
+  (* The second run wrote nothing new (every capture already existed), so
+     the one touched file is the winner. *)
+  Alcotest.(check int) "only the winning file touched" 1 (List.length touched)
+
 let test_store_vandalised_dir_still_identical () =
   with_temp_dir @@ fun store_dir ->
   let cache1, make_sim1, workload1 = quickstart_cache ~store_dir in
@@ -588,6 +814,109 @@ let test_store_vandalised_dir_still_identical () =
   let s = Prefix_cache.stats cache2 in
   Alcotest.(check int) "nothing served from disk" 0 s.Prefix_cache.store_hits;
   Alcotest.(check bool) "misses counted" true (s.Prefix_cache.store_misses > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Golden profile served by the store                                   *)
+(* ------------------------------------------------------------------ *)
+
+let mini_config ?(seed = 11) () =
+  {
+    (Campaign.default_config Policy.apm Workload.quickstart) with
+    Campaign.budget_s = 120.0;
+    prefix_cache = true;
+    seed;
+  }
+
+(* Run [f] traced and return its result with the names of the spans it
+   recorded. *)
+let traced f =
+  Avis_util.Trace.reset ();
+  Avis_util.Trace.set_enabled true;
+  let v =
+    Fun.protect ~finally:(fun () -> Avis_util.Trace.set_enabled false) f
+  in
+  let names =
+    List.map (fun r -> r.Avis_util.Trace.span_name) (Avis_util.Trace.summary ())
+  in
+  Avis_util.Trace.reset ();
+  (v, names)
+
+let campaign_digest ?store_dir config =
+  let cache = Option.map (fun dir -> Campaign.make_cache ~store_dir:dir config) store_dir in
+  Campaign.result_digest config ~approach:"sabre"
+    (Campaign.run ?cache config ~strategy:Sabre.make)
+
+let prof_files dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f -> Filename.check_suffix f ".prof")
+  |> List.map (Filename.concat dir)
+
+let check_spans ~served names =
+  Alcotest.(check bool) "store.profile span" served
+    (List.mem "store.profile" names);
+  Alcotest.(check bool) "campaign.profile span" (not served)
+    (List.mem "campaign.profile" names)
+
+let test_profile_served_warm () =
+  with_temp_dir @@ fun store_dir ->
+  let config = mini_config () in
+  let cold = campaign_digest config in
+  let populate, names = traced (fun () -> campaign_digest ~store_dir config) in
+  check_spans ~served:false names;
+  Alcotest.(check int) "one profile written" 1 (List.length (prof_files store_dir));
+  let warm, names = traced (fun () -> campaign_digest ~store_dir config) in
+  check_spans ~served:true names;
+  Alcotest.(check string) "populating run = cold" cold populate;
+  Alcotest.(check string) "warm run = cold" cold warm
+
+let test_profile_vandalised_reflown () =
+  with_temp_dir @@ fun store_dir ->
+  let config = mini_config () in
+  let cold = campaign_digest ~store_dir config in
+  (match prof_files store_dir with
+  | [ path ] -> damage_file ~at:100 path
+  | l -> Alcotest.failf "expected 1 profile file, got %d" (List.length l));
+  let again, names = traced (fun () -> campaign_digest ~store_dir config) in
+  check_spans ~served:false names;
+  Alcotest.(check string) "re-flown run = cold" cold again;
+  Alcotest.(check int) "replaced" 1 (List.length (prof_files store_dir));
+  let warm, names = traced (fun () -> campaign_digest ~store_dir config) in
+  check_spans ~served:true names;
+  Alcotest.(check string) "served from the replacement" cold warm
+
+(* Each identity change must miss (fly and write a new file); the
+   unchanged config must hit. Profiles are read through
+   [profile_and_context] directly, with two profiling runs to stay cheap. *)
+let test_profile_identities_isolated () =
+  with_temp_dir @@ fun dir ->
+  let base = { (mini_config ()) with Campaign.profiling_runs = 2 } in
+  let store ?(fingerprint = "fp-a") () =
+    Checkpoint_store.create ~fingerprint ~dir ~config_key:"cfg" ()
+  in
+  let profile ?fingerprint config =
+    snd
+      (traced (fun () ->
+           ignore (Campaign.profile_and_context ~store:(store ?fingerprint ()) config)))
+  in
+  check_spans ~served:false (profile base);
+  check_spans ~served:true (profile base);
+  let variants =
+    [
+      ("seed", None, { base with Campaign.seed = base.Campaign.seed + 1 });
+      ("profiling_runs", None, { base with Campaign.profiling_runs = 3 });
+      ("enabled_bugs", None, { base with Campaign.enabled_bugs = [] });
+      ("fingerprint", Some "fp-b", base);
+    ]
+  in
+  List.iteri
+    (fun i (what, fingerprint, config) ->
+      let names = profile ?fingerprint config in
+      Alcotest.(check bool) (what ^ ": flown, not served") true
+        (List.mem "campaign.profile" names
+        && not (List.mem "store.profile" names));
+      Alcotest.(check int) (what ^ ": own file") (i + 2)
+        (List.length (prof_files dir)))
+    variants
 
 let () =
   Alcotest.run "avis_store"
@@ -604,12 +933,17 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false qcheck_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick
             test_of_bytes_rejects_garbage;
+          Alcotest.test_case "outcome round-trips field for field" `Quick
+            test_outcome_roundtrip;
+          Alcotest.test_case "damaged or unclean outcome is Corrupt" `Quick
+            test_outcome_rejects_damage;
         ] );
       ( "hostile bytes",
         [
           QCheck_alcotest.to_alcotest ~long:false qcheck_fuzz_truncated;
           QCheck_alcotest.to_alcotest ~long:false qcheck_fuzz_bitflip;
           QCheck_alcotest.to_alcotest ~long:false qcheck_fuzz_random;
+          QCheck_alcotest.to_alcotest ~long:false qcheck_fuzz_outcome;
         ] );
       ( "store",
         [
@@ -628,6 +962,12 @@ let () =
             test_store_eviction_mtime_tiebreak;
           Alcotest.test_case "AVIS_STORE_MB guard" `Quick test_store_mb_guard;
           Alcotest.test_case "AVIS_CACHE_MB guard" `Slow test_cache_mb_guard;
+          Alcotest.test_case "two domains, one directory" `Quick
+            test_store_two_domains;
+          Alcotest.test_case "misnamed file fails closed" `Quick
+            test_store_misnamed_file_fails_closed;
+          Alcotest.test_case "profile put/lookup" `Quick
+            test_store_profile_roundtrip;
         ] );
       ( "shared store",
         [
@@ -637,5 +977,18 @@ let () =
             `Slow test_store_serves_own_prefix;
           Alcotest.test_case "vandalised store still identical" `Slow
             test_store_vandalised_dir_still_identical;
+          Alcotest.test_case "store beats a worse memory checkpoint" `Slow
+            test_store_beats_worse_memory;
+          Alcotest.test_case "lookup reads only the winning file" `Slow
+            test_store_reads_only_winner;
+        ] );
+      ( "golden profile",
+        [
+          Alcotest.test_case "warm cell serves its profile" `Slow
+            test_profile_served_warm;
+          Alcotest.test_case "vandalised profile re-flown" `Slow
+            test_profile_vandalised_reflown;
+          Alcotest.test_case "identities never share a profile" `Slow
+            test_profile_identities_isolated;
         ] );
     ]
