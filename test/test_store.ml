@@ -982,7 +982,7 @@ let () =
           Alcotest.test_case "lookup reads only the winning file" `Slow
             test_store_reads_only_winner;
         ] );
-      ( "golden profile",
+      ( "store profile",
         [
           Alcotest.test_case "warm cell serves its profile" `Slow
             test_profile_served_warm;
